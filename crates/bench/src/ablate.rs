@@ -12,7 +12,7 @@
 use sovia::SoviaConfig;
 
 use crate::figures::bandwidth_total;
-use crate::micro::{self, Series, Variant};
+use crate::micro::{self, RunSpec, Series, Variant};
 use crate::runner;
 
 /// Sweep the flow-control window size at a fixed message size.
@@ -25,11 +25,8 @@ pub fn window_sweep(msg_size: usize, windows: &[u32], threads: usize) -> Series 
             ack_threshold: (w / 2).max(1),
             ..SoviaConfig::single()
         };
-        let v = Variant::Sovia(config);
-        (
-            w as usize,
-            micro::bandwidth_mbps(&v, msg_size, bandwidth_total(msg_size)),
-        )
+        let spec = RunSpec::stream(Variant::Sovia(config), msg_size, bandwidth_total(msg_size));
+        (w as usize, micro::run(&spec).value)
     });
     Series {
         name: format!("bandwidth@{msg_size}B vs window"),
@@ -45,11 +42,8 @@ pub fn ack_threshold_sweep(msg_size: usize, thresholds: &[u32], threads: usize) 
             ack_threshold: t,
             ..SoviaConfig::flowctrl()
         };
-        let v = Variant::Sovia(config);
-        (
-            t as usize,
-            micro::bandwidth_mbps(&v, msg_size, bandwidth_total(msg_size)),
-        )
+        let spec = RunSpec::stream(Variant::Sovia(config), msg_size, bandwidth_total(msg_size));
+        (t as usize, micro::run(&spec).value)
     });
     Series {
         name: format!("bandwidth@{msg_size}B vs ack threshold"),
@@ -65,8 +59,8 @@ pub fn copy_threshold_sweep(msg_size: usize, thresholds: &[usize], threads: usiz
             copy_threshold: thr,
             ..SoviaConfig::dacks()
         };
-        let v = Variant::Sovia(config);
-        (thr, micro::latency_us(&v, msg_size, 30))
+        let spec = RunSpec::latency(Variant::Sovia(config), msg_size, 30);
+        (thr, micro::run(&spec).value)
     });
     Series {
         name: format!("latency@{msg_size}B vs copy threshold"),
@@ -86,7 +80,7 @@ pub fn handshake_comparison(sizes: &[usize], threads: usize) -> Vec<Series> {
         .flat_map(|c| sizes.iter().map(move |&s| (c, s)))
         .collect();
     let results = runner::par_map(&jobs, threads, |_, &(c, s)| {
-        micro::latency_us(&Variant::Sovia(c.clone()), s, 30)
+        micro::run(&RunSpec::latency(Variant::Sovia(c.clone()), s, 30)).value
     });
     ["two-way (SOVIA)", "three-way (REQ/ACK)"]
         .iter()
@@ -112,7 +106,7 @@ pub fn handler_gap_us(sizes: &[usize], threads: usize) -> Series {
         .flat_map(|c| sizes.iter().map(move |&s| (c, s)))
         .collect();
     let results = runner::par_map(&jobs, threads, |_, &(c, s)| {
-        micro::latency_us(&Variant::Sovia(c.clone()), s, 30)
+        micro::run(&RunSpec::latency(Variant::Sovia(c.clone()), s, 30)).value
     });
     Series {
         name: "handler-thread latency penalty".to_string(),

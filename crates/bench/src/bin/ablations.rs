@@ -9,9 +9,9 @@
 //! the COMBINE stream) with tracing enabled and writes a Chrome
 //! trace-event (Perfetto) JSON file.
 
-use bench::micro::Variant;
-use bench::{cli, figures, micro};
-use dsim::{SchedConfig, TraceConfig};
+use bench::micro::{self, RunSpec, Variant};
+use bench::{cli, figures};
+use dsim::TraceConfig;
 use sovia::SoviaConfig;
 
 fn main() {
@@ -29,8 +29,7 @@ fn main() {
     for (x, v) in &t.points {
         println!("  t={x:<4} {v:>8.1}");
     }
-    let c =
-        bench::ablate::copy_threshold_sweep(2048, &[256, 512, 1024, 2048, 4096, 8192], threads);
+    let c = bench::ablate::copy_threshold_sweep(2048, &[256, 512, 1024, 2048, 4096, 8192], threads);
     println!("# Ablation: copy-vs-register threshold (latency of 2KB messages, usec)");
     for (x, v) in &c.points {
         println!("  thr={x:<6} {v:>8.1}");
@@ -53,40 +52,28 @@ fn main() {
         let reps = [
             (
                 "SOVIA two-way 2KB latency",
-                Variant::Sovia(SoviaConfig::single()),
-                false,
+                RunSpec::latency(Variant::Sovia(SoviaConfig::single()), 2048, 30),
             ),
             (
                 "REQ/ACK three-way 2KB latency",
-                Variant::Sovia(SoviaConfig::reqack()),
-                false,
+                RunSpec::latency(Variant::Sovia(SoviaConfig::reqack()), 2048, 30),
             ),
             (
                 "SOVIA_COMBINE 2KB stream",
-                Variant::Sovia(SoviaConfig::combine()),
-                true,
+                RunSpec::stream(
+                    Variant::Sovia(SoviaConfig::combine()),
+                    2048,
+                    figures::bandwidth_total(2048),
+                ),
             ),
         ];
         let parts: Vec<_> = reps
-            .iter()
-            .map(|(label, v, stream)| {
-                let out = if *stream {
-                    micro::bandwidth_traced(
-                        v,
-                        2048,
-                        figures::bandwidth_total(2048),
-                        SchedConfig::default(),
-                        Some(TraceConfig::default()),
-                    )
-                } else {
-                    micro::latency_traced(
-                        v,
-                        2048,
-                        30,
-                        SchedConfig::default(),
-                        Some(TraceConfig::default()),
-                    )
-                };
+            .into_iter()
+            .map(|(label, spec)| {
+                let out = micro::run(&RunSpec {
+                    trace: Some(TraceConfig::default()),
+                    ..spec
+                });
                 (label.to_string(), out.trace.expect("tracing was enabled"))
             })
             .collect();

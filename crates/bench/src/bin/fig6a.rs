@@ -8,20 +8,16 @@
 //! trace-event (Perfetto) JSON file — also byte-identical at any thread
 //! count.
 
-use bench::{cli, figures, micro};
-use dsim::{SchedConfig, TraceConfig};
+use bench::micro::{self, RunSpec};
+use bench::{cli, figures};
+use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
     args.reject_rest("fig6a");
     args.reject_seed("fig6a");
     let sizes = figures::FIG6A_SIZES;
-    let outcome = figures::run_fig6a_sweep(
-        &sizes,
-        figures::LATENCY_ROUNDS,
-        args.threads(),
-        SchedConfig::default(),
-    );
+    let outcome = figures::run_fig6a_sweep(&sizes, figures::LATENCY_ROUNDS, args.threads());
     print!(
         "{}",
         micro::render_table(
@@ -33,19 +29,14 @@ fn main() {
     );
     if let Some(path) = &args.trace {
         let parts: Vec<_> = figures::fig6a_variants()
-            .iter()
+            .into_iter()
             .map(|v| {
-                let out = micro::latency_traced(
-                    v,
-                    4,
-                    figures::LATENCY_ROUNDS,
-                    SchedConfig::default(),
-                    Some(TraceConfig::default()),
-                );
-                (
-                    format!("{} 4B latency", v.label()),
-                    out.trace.expect("tracing was enabled"),
-                )
+                let label = format!("{} 4B latency", v.label());
+                let out = micro::run(&RunSpec {
+                    trace: Some(TraceConfig::default()),
+                    ..RunSpec::latency(v, 4, figures::LATENCY_ROUNDS)
+                });
+                (label, out.trace.expect("tracing was enabled"))
             })
             .collect();
         cli::write_trace(path, &parts);

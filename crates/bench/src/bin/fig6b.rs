@@ -8,20 +8,16 @@
 //! trace-event (Perfetto) JSON file — also byte-identical at any thread
 //! count.
 
-use bench::{cli, figures, micro};
-use dsim::{SchedConfig, TraceConfig};
+use bench::micro::{self, RunSpec};
+use bench::{cli, figures};
+use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
     args.reject_rest("fig6b");
     args.reject_seed("fig6b");
     let sizes = figures::FIG6B_SIZES;
-    let outcome = figures::run_fig6b_sweep(
-        &sizes,
-        figures::bandwidth_total,
-        args.threads(),
-        SchedConfig::default(),
-    );
+    let outcome = figures::run_fig6b_sweep(&sizes, figures::bandwidth_total, args.threads());
     print!(
         "{}",
         micro::render_table(
@@ -34,19 +30,14 @@ fn main() {
     if let Some(path) = &args.trace {
         let size = 32 * 1024;
         let parts: Vec<_> = figures::fig6b_variants()
-            .iter()
+            .into_iter()
             .map(|v| {
-                let out = micro::bandwidth_traced(
-                    v,
-                    size,
-                    figures::bandwidth_total(size),
-                    SchedConfig::default(),
-                    Some(TraceConfig::default()),
-                );
-                (
-                    format!("{} 32KB stream", v.label()),
-                    out.trace.expect("tracing was enabled"),
-                )
+                let label = format!("{} 32KB stream", v.label());
+                let out = micro::run(&RunSpec {
+                    trace: Some(TraceConfig::default()),
+                    ..RunSpec::stream(v, size, figures::bandwidth_total(size))
+                });
+                (label, out.trace.expect("tracing was enabled"))
             })
             .collect();
         cli::write_trace(path, &parts);

@@ -15,7 +15,7 @@ fn main() {
     args.reject_rest("fig7");
     args.reject_seed("fig7");
     let sizes = fig7::FIG7_SIZES;
-    let series = fig7::run_fig7_with(&sizes, args.threads());
+    let series = fig7::run_fig7(&sizes, args.threads());
     print!(
         "{}",
         micro::render_table(
@@ -34,7 +34,7 @@ fn main() {
         let parts: Vec<_> = platforms
             .iter()
             .map(|&p| {
-                let out = fig7::rpc_elapsed_traced(p, 128, Some(TraceConfig::default()));
+                let out = fig7::rpc_elapsed(p, 128, Some(TraceConfig::default()));
                 (
                     format!("{} 128B RPC", p.label()),
                     out.trace.expect("tracing was enabled"),

@@ -10,12 +10,6 @@
 //!   [`bench::fault_sweep`]: kernel TCP streaming over a lossy Fast
 //!   Ethernet link, with per-point goodput, recovery latency, and fault
 //!   counters (bit-reproducible for a fixed (seed, plan)).
-//! * **`suite_fig6_sweep`** — the full Figure 6(a)+6(b) point set run
-//!   through the parallel runner at `threads = 1` and `threads = N`
-//!   (default: available parallelism), recording suite wall-clock,
-//!   speedup, and aggregate event throughput. The rendered tables and
-//!   per-simulation event counts are asserted byte-identical across the
-//!   two thread counts: parallelism is host-side only (DESIGN.md §7).
 //! * **`latency_breakdown`** — the traced per-layer decomposition of the
 //!   4-byte round-trip ([`bench::breakdown`]): per-component µs that sum
 //!   exactly to the Figure 6(a) one-way latency, plus per-process
@@ -26,15 +20,18 @@
 //!   [--out PATH] [--threads N] [--trace out.json]
 //!
 //! `scripts/bench.sh` wraps this and compares against the committed
-//! baseline, matching scenarios by name (`gate_wall_ms` fields are the
-//! regression-gated handles). `--trace` additionally writes the
-//! breakdown runs as a Chrome trace-event (Perfetto) JSON file.
+//! baseline, matching scenarios by name (the `fast_path_on` wall time
+//! and the `gate_wall_ms` fields are the regression-gated handles).
+//! `--trace` additionally writes the breakdown runs as a Chrome
+//! trace-event (Perfetto) JSON file. The end-to-end host cost of the
+//! paper's figure points is measured by `hostbench/` (`BENCHMARK.json`),
+//! not here.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench::figures::{self, SweepOutcome};
-use bench::{breakdown, cli, runner};
+use bench::micro::{self, RunSpec, Variant};
+use bench::{breakdown, cli, figures, runner};
 use dsim::sync::SimQueue;
 use dsim::{SchedConfig, SchedStats, Simulation};
 use sovia::SoviaConfig;
@@ -44,9 +41,7 @@ const PINGPONG_ROUNDS: u32 = 20_000;
 /// Message size / total bytes for the Figure 6(b)-style stream workload.
 const STREAM_MSG: usize = 32 * 1024;
 const STREAM_TOTAL: usize = 32 * 1024 * 1024;
-/// Timed repetitions per A/B measurement (minimum taken). The suite
-/// sweep runs once per thread count: at a couple of minutes per pass it
-/// is long enough to be stable.
+/// Timed repetitions per A/B measurement (minimum taken).
 const REPS: usize = 3;
 
 /// One measured side of an A/B pair.
@@ -141,12 +136,15 @@ fn pingpong(sched: SchedConfig) -> (f64, SchedStats) {
 /// with NIC service threads, doorbells, and packet payloads in flight.
 /// Returns (bandwidth in Mb/s, stats).
 fn sovia_stream(sched: SchedConfig) -> (f64, SchedStats) {
-    bench::micro::socket_bandwidth_with_sched(
-        Some(SoviaConfig::combine()),
-        STREAM_MSG,
-        STREAM_TOTAL,
+    let out = micro::run(&RunSpec {
         sched,
-    )
+        ..RunSpec::stream(
+            Variant::Sovia(SoviaConfig::combine()),
+            STREAM_MSG,
+            STREAM_TOTAL,
+        )
+    });
+    (out.value, out.stats)
 }
 
 /// Check an A/B pair's virtual-time identity and render its JSON block.
@@ -190,112 +188,6 @@ fn render_scenario(
     json
 }
 
-/// One timed pass of the full Figure 6(a)+6(b) point set.
-struct SuitePass {
-    wall_ms: f64,
-    threads: usize,
-    /// Aggregate scheduler counters, summed across every simulation.
-    stats: SchedStats,
-    /// Per-simulation event counts, job order (the determinism check).
-    per_sim_events: Vec<u64>,
-    /// The rendered figure tables (the byte-identity check).
-    rendered: String,
-}
-
-/// Run the whole Figure 6 suite on at most `threads` concurrent
-/// simulations and render both tables.
-fn run_suite(threads: usize) -> SuitePass {
-    let sched = SchedConfig::default();
-    let t0 = Instant::now();
-    let a = figures::run_fig6a_sweep(
-        &figures::FIG6A_SIZES,
-        figures::LATENCY_ROUNDS,
-        threads,
-        sched,
-    );
-    let b = figures::run_fig6b_sweep(
-        &figures::FIG6B_SIZES,
-        figures::bandwidth_total,
-        threads,
-        sched,
-    );
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let rendered = format!(
-        "{}{}",
-        bench::micro::render_table(
-            "Figure 6(a): Latency (Giganet cLAN1000, simulated)",
-            "usec, one-way",
-            &figures::FIG6A_SIZES,
-            &a.series
-        ),
-        bench::micro::render_table(
-            "Figure 6(b): Bandwidth (Giganet cLAN1000, simulated)",
-            "Mbps",
-            &figures::FIG6B_SIZES,
-            &b.series
-        )
-    );
-    let per_sim_events = [&a, &b]
-        .iter()
-        .flat_map(|o: &&SweepOutcome| o.sim_stats.iter().map(|s| s.events_processed))
-        .collect();
-    SuitePass {
-        wall_ms,
-        threads,
-        stats: a.total_stats() + b.total_stats(),
-        per_sim_events,
-        rendered,
-    }
-}
-
-fn suite_pass_json(p: &SuitePass, indent: &str) -> String {
-    format!(
-        "{{\n{indent}  \"threads\": {},\n{indent}  \"wall_ms\": {:.3},\n\
-         {indent}  \"events_processed\": {},\n{indent}  \"aggregate_events_per_sec\": {:.0},\n\
-         {indent}  \"direct_handoffs\": {},\n{indent}  \"self_wakes\": {},\n\
-         {indent}  \"coordinator_roundtrips\": {}\n{indent}}}",
-        p.threads,
-        p.wall_ms,
-        p.stats.events_processed,
-        p.stats.events_processed as f64 / (p.wall_ms / 1e3),
-        p.stats.direct_handoffs,
-        p.stats.self_wakes,
-        p.stats.coordinator_wakes,
-    )
-}
-
-/// The suite-scaling scenario: full Figure 6 point set at `threads = 1`
-/// vs `threads = par_threads`, with the host-side-only invariant checked.
-fn render_suite_scenario(par_threads: usize) -> String {
-    let sims = figures::fig6a_variants().len() * figures::FIG6A_SIZES.len()
-        + figures::fig6b_variants().len() * figures::FIG6B_SIZES.len();
-    let seq = run_suite(1);
-    let par = run_suite(par_threads);
-    // The DESIGN.md §7 invariant, extended: parallelism is host-side
-    // only. Every rendered byte and per-simulation event count must be
-    // identical at any thread count.
-    assert_eq!(
-        seq.rendered, par.rendered,
-        "suite_fig6_sweep: thread count changed a rendered table"
-    );
-    assert_eq!(
-        seq.per_sim_events, par.per_sim_events,
-        "suite_fig6_sweep: thread count changed a per-simulation event count"
-    );
-    let speedup = seq.wall_ms / par.wall_ms;
-    eprintln!(
-        "suite_fig6_sweep: {sims} sims, wall {:.0} ms (threads=1) -> {:.0} ms (threads={}), \
-         speedup {speedup:.2}x",
-        seq.wall_ms, par.wall_ms, par.threads,
-    );
-    format!(
-        "    {{\n      \"name\": \"suite_fig6_sweep\",\n      \"simulations\": {sims},\n\
-               \"seq\": {},\n      \"par\": {},\n      \"suite_speedup_x\": {speedup:.2}\n    }}",
-        suite_pass_json(&seq, "      "),
-        suite_pass_json(&par, "      "),
-    )
-}
-
 /// The fault-injection scenario: the goodput-vs-loss sweep over a lossy
 /// Fast Ethernet link, with per-point goodput, recovery latency, and
 /// fault counters. Fixed (seed, plan) per point keeps the block
@@ -304,7 +196,7 @@ fn render_suite_scenario(par_threads: usize) -> String {
 fn render_fault_scenario(threads: usize) -> String {
     use bench::fault_sweep;
     let t0 = Instant::now();
-    let points = fault_sweep::run_fault_sweep(threads, SchedConfig::default());
+    let points = fault_sweep::run_fault_sweep(threads, fault_sweep::SWEEP_SEED);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let pts: Vec<String> = points
         .iter()
@@ -444,8 +336,7 @@ fn main() {
     // The A/B grid — scenario × {off, on} — flattened into one job list
     // and run through the same runner as the sweeps. Timed A/B jobs are
     // pinned to the sequential path (cap 1): running them concurrently
-    // would measure host contention, not the scheduler. The scenario
-    // that measures parallelism is `suite_fig6_sweep`, below.
+    // would measure host contention, not the scheduler.
     let ab_jobs: [(&str, bool); 4] = [
         ("handoff_pingpong", false),
         ("handoff_pingpong", true),
@@ -477,7 +368,6 @@ fn main() {
         ]
     });
     let fault_json = render_fault_scenario(threads);
-    let suite_json = render_suite_scenario(threads);
     let breakdown_json = render_breakdown_scenario(args.trace.as_deref());
 
     // Acceptance summary: best coordinator round-trip reduction and best
@@ -493,7 +383,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"pingpong_rounds\": {PINGPONG_ROUNDS},\n  \"stream_msg_bytes\": {STREAM_MSG},\n  \
-         \"stream_total_bytes\": {STREAM_TOTAL},\n  \"reps\": {REPS},\n  \"scenarios\": [\n{pp_json},\n{st_json},\n{fault_json},\n{suite_json},\n{breakdown_json}\n  ],\n  \
+         \"stream_total_bytes\": {STREAM_TOTAL},\n  \"reps\": {REPS},\n  \"scenarios\": [\n{pp_json},\n{st_json},\n{fault_json},\n{breakdown_json}\n  ],\n  \
          \"best_coordinator_roundtrip_reduction_x\": {best_rt:.2},\n  \
          \"best_wall_clock_reduction_pct\": {best_wall:.1}\n}}\n"
     );

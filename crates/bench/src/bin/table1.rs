@@ -15,7 +15,7 @@ fn main() {
     args.reject_rest("table1");
     args.reject_seed("table1");
     let sizes = table1::FILE_SIZES;
-    let rows = table1::run_table1_with(&sizes, args.threads());
+    let rows = table1::run_table1(&sizes, args.threads());
     print!("{}", table1::render(&rows, &sizes));
     if let Some(path) = &args.trace {
         let platforms = [
@@ -26,11 +26,10 @@ fn main() {
         let parts: Vec<_> = platforms
             .iter()
             .map(|&p| {
-                let (_, trace) =
-                    table1::ftp_transfer_traced(p, sizes[0], Some(TraceConfig::default()));
+                let out = table1::ftp_transfer(p, sizes[0], Some(TraceConfig::default()));
                 (
                     format!("{} file1 FTP", p.label()),
-                    trace.expect("tracing was enabled"),
+                    out.trace.expect("tracing was enabled"),
                 )
             })
             .collect();

@@ -16,12 +16,10 @@
 //! paper's Section 5 cost accounting made mechanical: SOVIA's point is
 //! that the syscall + copy share of TCP time disappears at user level.
 
-use dsim::{
-    ProcStats, SchedConfig, TraceClass, TraceConfig, TraceData, TraceEvent, TraceKind, TraceLayer,
-};
+use dsim::{ProcStats, TraceClass, TraceConfig, TraceData, TraceEvent, TraceKind, TraceLayer};
 use sovia::SoviaConfig;
 
-use crate::micro::{self, Variant};
+use crate::micro::{self, RunSpec, Variant};
 
 /// The attribution buckets, in priority order (overlap goes to the
 /// earlier bucket). [`Component::Idle`] is the residual and always last.
@@ -253,12 +251,17 @@ pub fn bandwidth_variants() -> Vec<Variant> {
     ]
 }
 
-fn run_one(v: &Variant, run: impl Fn(&Variant) -> micro::RunOutput) -> VariantBreakdown {
-    let out = run(v);
+/// Run `spec` traced and attribute its measurement window.
+fn run_one(spec: RunSpec) -> VariantBreakdown {
+    let label = spec.variant.label().to_string();
+    let out = micro::run(&RunSpec {
+        trace: Some(TraceConfig::default()),
+        ..spec
+    });
     let trace = out.trace.expect("tracing was enabled");
     let attribution = attribute(&trace).expect("measurement window marks missing");
     VariantBreakdown {
-        label: v.label().to_string(),
+        label,
         value: out.value,
         attribution,
         procs: out.procs,
@@ -270,36 +273,16 @@ fn run_one(v: &Variant, run: impl Fn(&Variant) -> micro::RunOutput) -> VariantBr
 /// sequentially: traces must be byte-stable regardless of `--threads`.
 pub fn latency_breakdown(size: usize, rounds: u32) -> Vec<VariantBreakdown> {
     latency_variants()
-        .iter()
-        .map(|v| {
-            run_one(v, |v| {
-                micro::latency_traced(
-                    v,
-                    size,
-                    rounds,
-                    SchedConfig::default(),
-                    Some(TraceConfig::default()),
-                )
-            })
-        })
+        .into_iter()
+        .map(|v| run_one(RunSpec::latency(v, size, rounds)))
         .collect()
 }
 
 /// Decompose the `size`-byte stream for every bandwidth variant.
 pub fn bandwidth_breakdown(size: usize, total_bytes: usize) -> Vec<VariantBreakdown> {
     bandwidth_variants()
-        .iter()
-        .map(|v| {
-            run_one(v, |v| {
-                micro::bandwidth_traced(
-                    v,
-                    size,
-                    total_bytes,
-                    SchedConfig::default(),
-                    Some(TraceConfig::default()),
-                )
-            })
-        })
+        .into_iter()
+        .map(|v| run_one(RunSpec::stream(v, size, total_bytes)))
         .collect()
 }
 

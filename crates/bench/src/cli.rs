@@ -138,6 +138,10 @@ mod tests {
         assert_eq!(cli.seed, Some(7));
         assert_eq!(cli.trace.as_deref(), Some("t.json"));
         assert_eq!(cli.rest, argv(&["--out", "x.json"]));
+
+        let cli = BenchCli::parse_from(argv(&["--threads=2"]));
+        assert_eq!(cli.threads, Some(2));
+        assert!(cli.rest.is_empty());
     }
 
     #[test]

@@ -19,13 +19,16 @@
 
 use std::sync::Arc;
 
-use dsim::{SchedConfig, SchedStats, SimDuration, SimTime, Simulation};
+use dsim::{
+    SchedConfig, SchedStats, SimDuration, SimTime, Simulation, TraceConfig, TraceData, TraceKind,
+};
 use parking_lot::Mutex;
 use simnic::{FaultPlan, FaultStats};
 use simos::HostId;
 use sockets::{api, SockAddr, SockOption, SockType};
 use sovia_repro::testbed;
 
+use crate::micro::mark;
 use crate::runner;
 
 /// Per-frame drop probabilities of the sweep (data direction only).
@@ -60,30 +63,18 @@ pub struct FaultPoint {
 
 /// Stream `total` bytes over TCP/Fast-Ethernet with per-frame drop
 /// probability `loss_p` (seeded `seed`) on the data direction, measuring
-/// sink goodput and the longest receive stall.
+/// sink goodput and the longest receive stall. The sink brackets the
+/// first-to-last-byte goodput window with measurement marks, so a traced
+/// run's window matches the reported goodput interval (retransmission
+/// stalls and `FaultDrop` instants land inside it).
 pub fn lossy_tcp_stream(
     loss_p: f64,
     seed: u64,
     msg: usize,
     total: usize,
-    sched: SchedConfig,
-) -> FaultPoint {
-    lossy_tcp_stream_traced(loss_p, seed, msg, total, sched, None).0
-}
-
-/// [`lossy_tcp_stream`] with optional tracing; the sink brackets the
-/// first-to-last-byte goodput window with measurement marks, so the
-/// trace window matches the reported goodput interval (retransmission
-/// stalls and `FaultDrop` instants land inside it).
-pub fn lossy_tcp_stream_traced(
-    loss_p: f64,
-    seed: u64,
-    msg: usize,
-    total: usize,
-    sched: SchedConfig,
-    trace: Option<dsim::TraceConfig>,
-) -> (FaultPoint, Option<dsim::TraceData>) {
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
+    trace: Option<TraceConfig>,
+) -> (FaultPoint, Option<TraceData>) {
+    let mut sim = Simulation::with_config_and_trace(SchedConfig::default(), trace);
     let h = sim.handle();
     let plan = if loss_p > 0.0 {
         FaultPlan::drops(seed, loss_p)
@@ -117,11 +108,7 @@ pub fn lossy_tcp_stream_traced(
                 let now = ctx.now();
                 if t_first.is_none() {
                     t_first = Some(now);
-                    ctx.trace_instant(
-                        dsim::TraceLayer::App,
-                        dsim::TraceKind::MarkStart,
-                        dsim::TraceTag::default(),
-                    );
+                    mark(ctx, TraceKind::MarkStart);
                 } else {
                     let stall = now.since(t_last).as_micros_f64();
                     if stall > max_stall {
@@ -131,11 +118,7 @@ pub fn lossy_tcp_stream_traced(
                 t_last = now;
                 got += d.len();
             }
-            ctx.trace_instant(
-                dsim::TraceLayer::App,
-                dsim::TraceKind::MarkEnd,
-                dsim::TraceTag::default(),
-            );
+            mark(ctx, TraceKind::MarkEnd);
             if let Some(t0) = t_first {
                 let secs = t_last.since(t0).as_secs_f64();
                 if secs > 0.0 {
@@ -175,24 +158,14 @@ pub fn lossy_tcp_stream_traced(
     )
 }
 
-/// Run the whole sweep on at most `threads` concurrent simulations,
-/// seeded with [`SWEEP_SEED`].
-pub fn run_fault_sweep(threads: usize, sched: SchedConfig) -> Vec<FaultPoint> {
-    run_fault_sweep_seeded(threads, sched, SWEEP_SEED)
-}
-
-/// Run the whole sweep with an explicit base seed: point `i` seeds its
-/// fault lane with `base_seed ^ i`, so the default seed reproduces the
-/// checked-in `results/fault_sweep.txt` while `--seed` explores other
-/// fault schedules.
-pub fn run_fault_sweep_seeded(
-    threads: usize,
-    sched: SchedConfig,
-    base_seed: u64,
-) -> Vec<FaultPoint> {
+/// Run the whole sweep on at most `threads` concurrent simulations:
+/// point `i` seeds its fault lane with `base_seed ^ i`, so
+/// [`SWEEP_SEED`] reproduces the checked-in `results/fault_sweep.txt`
+/// while `--seed` explores other fault schedules.
+pub fn run_fault_sweep(threads: usize, base_seed: u64) -> Vec<FaultPoint> {
     let jobs: Vec<(usize, f64)> = LOSS_RATES.iter().copied().enumerate().collect();
     runner::par_map(&jobs, threads, |_, &(i, p)| {
-        lossy_tcp_stream(p, base_seed ^ i as u64, STREAM_MSG, STREAM_TOTAL, sched)
+        lossy_tcp_stream(p, base_seed ^ i as u64, STREAM_MSG, STREAM_TOTAL, None).0
     })
 }
 

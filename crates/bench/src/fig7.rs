@@ -8,13 +8,13 @@ use std::sync::Arc;
 
 use apps::rpc::client::Transport;
 use apps::rpc::echo::{echo_client, echo_len_1, echo_null_1, spawn_echo_server};
-use dsim::{SimDuration, Simulation};
-use parking_lot::Mutex;
+use dsim::{SchedConfig, SimDuration, TraceConfig, TraceKind};
 use simos::HostId;
 use sovia::SoviaConfig;
 use sovia_repro::testbed;
 
-use crate::micro::Series;
+use crate::micro::{mark, simulate, RunOutput, Series};
+use crate::runner;
 
 /// The argument sizes of Figure 7 (0 = void argument).
 pub const FIG7_SIZES: [usize; 12] = [0, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
@@ -45,27 +45,16 @@ impl RpcPlatform {
 }
 
 /// Mean elapsed µs for a single RPC with an `arg_len`-byte string
-/// argument (0 = void).
-pub fn rpc_elapsed_us(platform: RpcPlatform, arg_len: usize) -> f64 {
-    rpc_elapsed_traced(platform, arg_len, None).value
-}
-
-/// [`rpc_elapsed_us`] with optional tracing; the timed calls are
-/// bracketed by measurement-window marks.
-pub fn rpc_elapsed_traced(
-    platform: RpcPlatform,
-    arg_len: usize,
-    trace: Option<dsim::TraceConfig>,
-) -> crate::micro::RunOutput {
-    let mut sim = Simulation::with_config_and_trace(dsim::SchedConfig::default(), trace);
-    let out = Arc::new(Mutex::new(0f64));
+/// argument (0 = void), in a fresh simulation. The timed calls are
+/// bracketed by measurement-window marks; `trace` switches tracing on.
+pub fn rpc_elapsed(platform: RpcPlatform, arg_len: usize, trace: Option<TraceConfig>) -> RunOutput {
     let transport = match platform {
         RpcPlatform::SoviaClan => Transport::Via,
         _ => Transport::Tcp,
     };
-    let run = {
-        let out = Arc::clone(&out);
-        move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
+    simulate(SchedConfig::default(), trace, "RPC", |sim, out| {
+        let out = Arc::clone(out);
+        let run = move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
             let (cp, sp) = testbed::procs(&m0, &m1);
             spawn_echo_server(ctx.handle(), sp, HostId(1), transport, Some(1));
             let out = Arc::clone(&out);
@@ -75,44 +64,28 @@ pub fn rpc_elapsed_traced(
                 let arg = "x".repeat(arg_len);
                 // Warm-up call.
                 do_call(cctx, &clnt, &arg, arg_len);
-                cctx.trace_instant(
-                    dsim::TraceLayer::App,
-                    dsim::TraceKind::MarkStart,
-                    dsim::TraceTag::default(),
-                );
+                mark(cctx, TraceKind::MarkStart);
                 let t0 = cctx.now();
                 for _ in 0..CALLS {
                     do_call(cctx, &clnt, &arg, arg_len);
                 }
-                cctx.trace_instant(
-                    dsim::TraceLayer::App,
-                    dsim::TraceKind::MarkEnd,
-                    dsim::TraceTag::default(),
-                );
+                mark(cctx, TraceKind::MarkEnd);
                 *out.lock() = cctx.now().since(t0).as_micros_f64() / f64::from(CALLS);
                 clnt.destroy(cctx);
             });
+        };
+        match platform {
+            RpcPlatform::TcpFastEthernet => {
+                let (m0, m1) = testbed::tcp_ethernet_pair(&sim.handle());
+                sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
+            }
+            RpcPlatform::TcpClan => testbed::clan_dual_stack(sim, SoviaConfig::combine(), run),
+            RpcPlatform::SoviaClan => {
+                let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
+                sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
+            }
         }
-    };
-    match platform {
-        RpcPlatform::TcpFastEthernet => {
-            let (m0, m1) = testbed::tcp_ethernet_pair(&sim.handle());
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-        RpcPlatform::TcpClan => testbed::clan_dual_stack(&sim, SoviaConfig::combine(), run),
-        RpcPlatform::SoviaClan => {
-            let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-    }
-    sim.run().expect("RPC simulation failed");
-    let v = *out.lock();
-    crate::micro::RunOutput {
-        value: v,
-        stats: sim.sched_stats(),
-        procs: sim.proc_stats(),
-        trace: sim.take_trace(),
-    }
+    })
 }
 
 fn do_call(ctx: &dsim::SimCtx, clnt: &apps::rpc::client::Clnt, arg: &str, arg_len: usize) {
@@ -124,15 +97,9 @@ fn do_call(ctx: &dsim::SimCtx, clnt: &apps::rpc::client::Clnt, arg: &str, arg_le
     }
 }
 
-/// Run the whole figure (thread count from `SOVIA_BENCH_THREADS` /
-/// available parallelism).
-pub fn run_fig7(sizes: &[usize]) -> Vec<Series> {
-    run_fig7_with(sizes, crate::runner::default_threads())
-}
-
 /// Run the whole figure on at most `threads` concurrent simulations:
 /// each platform × argument-size point is an independent simulation.
-pub fn run_fig7_with(sizes: &[usize], threads: usize) -> Vec<Series> {
+pub fn run_fig7(sizes: &[usize], threads: usize) -> Vec<Series> {
     let platforms = [
         RpcPlatform::TcpFastEthernet,
         RpcPlatform::TcpClan,
@@ -142,7 +109,7 @@ pub fn run_fig7_with(sizes: &[usize], threads: usize) -> Vec<Series> {
         .iter()
         .flat_map(|&p| sizes.iter().map(move |&s| (p, s)))
         .collect();
-    let elapsed = crate::runner::par_map(&jobs, threads, |_, &(p, s)| rpc_elapsed_us(p, s));
+    let elapsed = runner::par_map(&jobs, threads, |_, &(p, s)| rpc_elapsed(p, s, None).value);
     platforms
         .iter()
         .enumerate()

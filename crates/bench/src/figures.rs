@@ -5,10 +5,10 @@
 //! through [`crate::runner`]. Output is byte-identical at any thread
 //! count (the runner collects by input index).
 
-use dsim::{SchedConfig, SchedStats};
+use dsim::SchedStats;
 use sovia::SoviaConfig;
 
-use crate::micro::{self, Series, Variant};
+use crate::micro::{self, RunOutput, RunSpec, Series, Variant};
 use crate::runner;
 
 /// Message sizes of Figure 6(a).
@@ -70,22 +70,9 @@ pub struct SweepOutcome {
     pub sim_stats: Vec<SchedStats>,
 }
 
-impl SweepOutcome {
-    /// Sum of the per-simulation scheduler counters.
-    pub fn total_stats(&self) -> SchedStats {
-        self.sim_stats
-            .iter()
-            .fold(SchedStats::default(), |acc, s| acc + *s)
-    }
-}
-
 /// Assemble `(variant, size)` grid results (job order, variant-major)
 /// back into per-variant series.
-fn assemble(
-    variants: &[Variant],
-    sizes: &[usize],
-    results: Vec<(f64, SchedStats)>,
-) -> SweepOutcome {
+fn assemble(variants: &[Variant], sizes: &[usize], results: Vec<RunOutput>) -> SweepOutcome {
     let series = variants
         .iter()
         .enumerate()
@@ -94,30 +81,25 @@ fn assemble(
             points: sizes
                 .iter()
                 .enumerate()
-                .map(|(si, &s)| (s, results[vi * sizes.len() + si].0))
+                .map(|(si, &s)| (s, results[vi * sizes.len() + si].value))
                 .collect(),
         })
         .collect();
     SweepOutcome {
         series,
-        sim_stats: results.into_iter().map(|(_, st)| st).collect(),
+        sim_stats: results.iter().map(|r| r.stats).collect(),
     }
 }
 
 /// Run the Figure 6(a) grid on at most `threads` concurrent simulations.
-pub fn run_fig6a_sweep(
-    sizes: &[usize],
-    rounds: u32,
-    threads: usize,
-    sched: SchedConfig,
-) -> SweepOutcome {
+pub fn run_fig6a_sweep(sizes: &[usize], rounds: u32, threads: usize) -> SweepOutcome {
     let variants = fig6a_variants();
     let jobs: Vec<(&Variant, usize)> = variants
         .iter()
         .flat_map(|v| sizes.iter().map(move |&s| (v, s)))
         .collect();
     let results = runner::par_map(&jobs, threads, |_, &(v, s)| {
-        micro::latency_with_sched(v, s, rounds, sched)
+        micro::run(&RunSpec::latency(v.clone(), s, rounds))
     });
     assemble(&variants, sizes, results)
 }
@@ -129,7 +111,6 @@ pub fn run_fig6b_sweep(
     sizes: &[usize],
     total: impl Fn(usize) -> usize + Sync,
     threads: usize,
-    sched: SchedConfig,
 ) -> SweepOutcome {
     let variants = fig6b_variants();
     let jobs: Vec<(&Variant, usize)> = variants
@@ -137,29 +118,7 @@ pub fn run_fig6b_sweep(
         .flat_map(|v| sizes.iter().map(move |&s| (v, s)))
         .collect();
     let results = runner::par_map(&jobs, threads, |_, &(v, s)| {
-        micro::bandwidth_with_sched(v, s, total(s), sched)
+        micro::run(&RunSpec::stream(v.clone(), s, total(s)))
     });
     assemble(&variants, sizes, results)
-}
-
-/// Run Figure 6(a): latency vs message size.
-pub fn run_fig6a(sizes: &[usize]) -> Vec<Series> {
-    run_fig6a_sweep(
-        sizes,
-        LATENCY_ROUNDS,
-        runner::default_threads(),
-        SchedConfig::default(),
-    )
-    .series
-}
-
-/// Run Figure 6(b): bandwidth vs message size.
-pub fn run_fig6b(sizes: &[usize]) -> Vec<Series> {
-    run_fig6b_sweep(
-        sizes,
-        bandwidth_total,
-        runner::default_threads(),
-        SchedConfig::default(),
-    )
-    .series
 }

@@ -20,7 +20,7 @@
 //!
 //! Binaries `fig6a`, `fig6b`, `table1`, `fig7` and `ablations` print the
 //! paper-style tables; `latency_breakdown` decomposes the headline
-//! numbers per layer; Criterion benches wrap representative points. All
+//! numbers per layer; `fault_sweep` prints TCP goodput vs frame loss. All
 //! of them take `--trace PATH` to emit a Perfetto-loadable trace.
 
 #![warn(missing_docs)]

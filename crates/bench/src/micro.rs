@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use dsim::{
-    ProcStats, SchedConfig, SchedStats, SimDuration, Simulation, TraceConfig, TraceData,
-    TraceKind, TraceLayer, TraceTag,
+    ProcStats, SchedConfig, SchedStats, SimDuration, Simulation, TraceConfig, TraceData, TraceKind,
+    TraceLayer, TraceTag,
 };
 use parking_lot::Mutex;
 use simos::HostId;
@@ -64,17 +64,71 @@ pub struct Series {
 
 const PORT: u16 = 9000;
 
-/// Everything one (optionally traced) measurement simulation reports.
-///
-/// The untraced entry points return `(value, stats)` tuples; the
-/// `*_traced` variants return this, adding per-process accounting and —
-/// when a [`TraceConfig`] was supplied — the drained trace. Tracing
-/// observes, never perturbs: `value` and `stats` are identical whether
-/// `trace` was `None` or `Some`.
+/// What a measurement point does with its connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Load {
+    /// Figure 6(a): one warm-up exchange, then `rounds` timed round
+    /// trips; the value is half the mean round-trip time, in µs.
+    PingPong {
+        /// Timed round trips.
+        rounds: u32,
+    },
+    /// Figure 6(b): stream `total` bytes one way; the value is the
+    /// steady-state bandwidth, in Mb/s.
+    Stream {
+        /// Bytes streamed (rounded up to whole messages).
+        total: usize,
+    },
+}
+
+/// One measurement point: everything [`run`] needs.
 #[derive(Debug, Clone)]
-pub struct RunOutput {
-    /// The measured metric (µs for latency runs, Mb/s for bandwidth runs).
-    pub value: f64,
+pub struct RunSpec {
+    /// Transport under test.
+    pub variant: Variant,
+    /// Message size in bytes.
+    pub size: usize,
+    /// Ping-pong or stream.
+    pub load: Load,
+    /// Scheduler configuration (host-side only: never changes the
+    /// result).
+    pub sched: SchedConfig,
+    /// Tracing, when the caller wants the trace back in
+    /// [`RunOutput::trace`].
+    pub trace: Option<TraceConfig>,
+}
+
+impl RunSpec {
+    /// A Figure 6(a) ping-pong point under the default scheduler,
+    /// untraced.
+    pub fn latency(variant: Variant, size: usize, rounds: u32) -> RunSpec {
+        RunSpec::with_load(variant, size, Load::PingPong { rounds })
+    }
+
+    /// A Figure 6(b) stream point under the default scheduler, untraced.
+    pub fn stream(variant: Variant, size: usize, total: usize) -> RunSpec {
+        RunSpec::with_load(variant, size, Load::Stream { total })
+    }
+
+    fn with_load(variant: Variant, size: usize, load: Load) -> RunSpec {
+        RunSpec {
+            variant,
+            size,
+            load,
+            sched: SchedConfig::default(),
+            trace: None,
+        }
+    }
+}
+
+/// Everything one measurement simulation reports.
+///
+/// Tracing observes, never perturbs: `value`, `stats` and `procs` are
+/// identical whether the run was traced or not.
+#[derive(Debug, Clone)]
+pub struct RunOutput<T = f64> {
+    /// The measured result (µs for ping-pong runs, Mb/s for streams).
+    pub value: T,
     /// Whole-simulation scheduler counters.
     pub stats: SchedStats,
     /// Per-process virtual run-time / wakeup accounting, pid order.
@@ -85,118 +139,80 @@ pub struct RunOutput {
 
 /// Emit a measurement-window marker (a zero-width instant: no virtual
 /// time passes, so marks never perturb a measurement).
-fn mark(ctx: &dsim::SimCtx, kind: TraceKind) {
+pub(crate) fn mark(ctx: &dsim::SimCtx, kind: TraceKind) {
     ctx.trace_instant(TraceLayer::App, kind, TraceTag::default());
 }
 
-/// Half mean round-trip time for `size`-byte messages, in µs.
-pub fn latency_us(variant: &Variant, size: usize, rounds: u32) -> f64 {
-    latency_with_sched(variant, size, rounds, SchedConfig::default()).0
-}
-
-/// Unidirectional bandwidth in Mb/s streaming `total` bytes in
-/// `size`-byte sends.
-pub fn bandwidth_mbps(variant: &Variant, size: usize, total: usize) -> f64 {
-    bandwidth_with_sched(variant, size, total, SchedConfig::default()).0
-}
-
-/// [`latency_us`] under an explicit scheduler configuration, also
-/// returning the per-simulation scheduler counters (the parallel-suite
-/// determinism tests and `perf_report` aggregate these across sims).
-pub fn latency_with_sched(
-    variant: &Variant,
-    size: usize,
-    rounds: u32,
-    sched: SchedConfig,
-) -> (f64, SchedStats) {
-    let out = latency_traced(variant, size, rounds, sched, None);
-    (out.value, out.stats)
-}
-
-/// [`bandwidth_mbps`] under an explicit scheduler configuration, with
-/// the per-simulation scheduler counters.
-pub fn bandwidth_with_sched(
-    variant: &Variant,
-    size: usize,
-    total: usize,
-    sched: SchedConfig,
-) -> (f64, SchedStats) {
-    let out = bandwidth_traced(variant, size, total, sched, None);
-    (out.value, out.stats)
-}
-
-/// [`latency_with_sched`] with optional tracing. The measured rounds are
-/// bracketed by [`TraceKind::MarkStart`] / [`TraceKind::MarkEnd`] App
-/// instants, so the trace's measurement window is exactly the timed
-/// interval the latency number comes from.
-pub fn latency_traced(
-    variant: &Variant,
-    size: usize,
-    rounds: u32,
+/// The tail every measurement shares: build the simulation, let `setup`
+/// spawn its processes (they write the result into the shared slot),
+/// run it, then collect the result, counters and trace.
+pub(crate) fn simulate<T: Copy + Default + Send + 'static>(
     sched: SchedConfig,
     trace: Option<TraceConfig>,
-) -> RunOutput {
-    match variant {
-        Variant::NativeVia => native_via_latency_traced(size, rounds, sched, trace),
-        Variant::TcpLane => socket_latency_traced(None, size, rounds, sched, trace),
-        Variant::Sovia(config) => {
-            socket_latency_traced(Some(config.clone()), size, rounds, sched, trace)
-        }
+    what: &str,
+    setup: impl FnOnce(&mut Simulation, &Arc<Mutex<T>>),
+) -> RunOutput<T> {
+    let mut sim = Simulation::with_config_and_trace(sched, trace);
+    let out = Arc::new(Mutex::new(T::default()));
+    setup(&mut sim, &out);
+    if let Err(e) = sim.run() {
+        panic!("{what} simulation failed: {e:?}");
+    }
+    let value = *out.lock();
+    RunOutput {
+        value,
+        stats: sim.sched_stats(),
+        procs: sim.proc_stats(),
+        trace: sim.take_trace(),
     }
 }
 
-/// [`bandwidth_with_sched`] with optional tracing; the steady-state
-/// measurement window is marked as in [`latency_traced`].
-pub fn bandwidth_traced(
-    variant: &Variant,
-    size: usize,
-    total: usize,
-    sched: SchedConfig,
-    trace: Option<TraceConfig>,
-) -> RunOutput {
+/// Run one measurement point in a fresh simulation. The timed interval
+/// is bracketed by [`TraceKind::MarkStart`] / [`TraceKind::MarkEnd`] App
+/// instants, so a traced run's measurement window is exactly the
+/// interval the value comes from.
+pub fn run(spec: &RunSpec) -> RunOutput {
+    match (&spec.variant, spec.load) {
+        (Variant::NativeVia, Load::PingPong { rounds }) => native_via_latency(spec, rounds),
+        (Variant::NativeVia, Load::Stream { total }) => native_via_bandwidth(spec, total),
+        (_, Load::PingPong { rounds }) => socket_latency(spec, rounds),
+        (_, Load::Stream { total }) => socket_bandwidth(spec, total),
+    }
+}
+
+/// The socket type a sockets-based variant opens.
+fn sock_type(variant: &Variant) -> SockType {
     match variant {
-        Variant::NativeVia => native_via_bandwidth_traced(size, total, sched, trace),
-        Variant::TcpLane => socket_bandwidth_traced(None, size, total, sched, trace),
-        Variant::Sovia(config) => {
-            socket_bandwidth_traced(Some(config.clone()), size, total, sched, trace)
+        Variant::Sovia(_) => SockType::Via,
+        _ => SockType::Stream,
+    }
+}
+
+/// Start `run` on the machine pair `variant` selects: a SOVIA pair, or
+/// TCP over LANE on the dual-stack cLAN pair.
+fn start_socket_pair(
+    sim: &mut Simulation,
+    variant: &Variant,
+    run: impl FnOnce(&dsim::SimCtx, simos::Machine, simos::Machine) + Send + 'static,
+) {
+    match variant {
+        Variant::Sovia(cfg) => {
+            let (m0, m1) = testbed::sovia_pair(&sim.handle(), cfg.clone());
+            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
         }
+        _ => testbed::clan_dual_stack(sim, SoviaConfig::combine(), run),
     }
 }
 
 // ----- sockets-based (TCP / SOVIA) ------------------------------------------
 
-/// The Figure 6(a) ping-pong workload under an explicit scheduler
-/// configuration. Returns `(µs, scheduler stats)`; the determinism tests
-/// use the stats to assert identical event counts run to run.
-pub fn socket_latency_with_sched(
-    config: Option<SoviaConfig>,
-    size: usize,
-    rounds: u32,
-    sched: SchedConfig,
-) -> (f64, SchedStats) {
-    let out = socket_latency_traced(config, size, rounds, sched, None);
-    (out.value, out.stats)
-}
-
-/// [`socket_latency_with_sched`] with optional tracing (see
-/// [`latency_traced`]).
-pub fn socket_latency_traced(
-    config: Option<SoviaConfig>,
-    size: usize,
-    rounds: u32,
-    sched: SchedConfig,
-    trace: Option<TraceConfig>,
-) -> RunOutput {
-    let out = Arc::new(Mutex::new(0f64));
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
-    let stype = if config.is_some() {
-        SockType::Via
-    } else {
-        SockType::Stream
-    };
-    let run = {
-        let out = Arc::clone(&out);
-        move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
+/// The Figure 6(a) ping-pong workload over the sockets API.
+fn socket_latency(spec: &RunSpec, rounds: u32) -> RunOutput {
+    let size = spec.size;
+    let stype = sock_type(&spec.variant);
+    simulate(spec.sched, spec.trace, "latency", |sim, out| {
+        let out = Arc::clone(out);
+        start_socket_pair(sim, &spec.variant, move |ctx, m0, m1| {
             let (cp, sp) = testbed::procs(&m0, &m1);
             // Server: echo `rounds + 1` messages (one warm-up).
             {
@@ -246,59 +262,19 @@ pub fn socket_latency_traced(
                 *out.lock() = rtt_us / 2.0;
                 api::close(cctx, &cp, s).unwrap();
             });
-        }
-    };
-    match config {
-        Some(cfg) => {
-            let (m0, m1) = testbed::sovia_pair(&sim.handle(), cfg);
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-        None => testbed::clan_dual_stack(&sim, SoviaConfig::combine(), run),
-    }
-    sim.run().expect("latency simulation failed");
-    let v = *out.lock();
-    RunOutput {
-        value: v,
-        stats: sim.sched_stats(),
-        procs: sim.proc_stats(),
-        trace: sim.take_trace(),
-    }
+        });
+    })
 }
 
-/// The Figure 6(b) stream workload under an explicit scheduler
-/// configuration. Returns `(Mb/s, scheduler stats)`; the perf_report
-/// binary uses this for fast-path A/B measurement.
-pub fn socket_bandwidth_with_sched(
-    config: Option<SoviaConfig>,
-    size: usize,
-    total: usize,
-    sched: SchedConfig,
-) -> (f64, SchedStats) {
-    let out = socket_bandwidth_traced(config, size, total, sched, None);
-    (out.value, out.stats)
-}
-
-/// [`socket_bandwidth_with_sched`] with optional tracing (see
-/// [`bandwidth_traced`]).
-pub fn socket_bandwidth_traced(
-    config: Option<SoviaConfig>,
-    size: usize,
-    total: usize,
-    sched: SchedConfig,
-    trace: Option<TraceConfig>,
-) -> RunOutput {
-    let out = Arc::new(Mutex::new(0f64));
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
-    let stype = if config.is_some() {
-        SockType::Via
-    } else {
-        SockType::Stream
-    };
+/// The Figure 6(b) stream workload over the sockets API.
+fn socket_bandwidth(spec: &RunSpec, total: usize) -> RunOutput {
+    let size = spec.size;
+    let stype = sock_type(&spec.variant);
     let msgs = total.div_ceil(size);
     let total = msgs * size;
-    let run = {
-        let out = Arc::clone(&out);
-        move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
+    simulate(spec.sched, spec.trace, "bandwidth", |sim, out| {
+        let out = Arc::clone(out);
+        start_socket_pair(sim, &spec.variant, move |ctx, m0, m1| {
             let (cp, sp) = testbed::procs(&m0, &m1);
             {
                 // Steady-state bandwidth is measured at the sink, from the
@@ -360,193 +336,148 @@ pub fn socket_bandwidth_traced(
                 let _ = api::recv_exact(cctx, &cp, s, 1).unwrap();
                 api::close(cctx, &cp, s).unwrap();
             });
-        }
-    };
-    match config {
-        Some(cfg) => {
-            let (m0, m1) = testbed::sovia_pair(&sim.handle(), cfg);
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-        None => testbed::clan_dual_stack(&sim, SoviaConfig::combine(), run),
-    }
-    sim.run().expect("bandwidth simulation failed");
-    let v = *out.lock();
-    RunOutput {
-        value: v,
-        stats: sim.sched_stats(),
-        procs: sim.proc_stats(),
-        trace: sim.take_trace(),
-    }
+        });
+    })
 }
 
 // ----- native VIA (raw VIPL) --------------------------------------------------
 
-fn native_via_latency_traced(
-    size: usize,
-    rounds: u32,
-    sched: SchedConfig,
-    trace: Option<TraceConfig>,
-) -> RunOutput {
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
-    let (m0, m1) = testbed::clan_pair(&sim.handle());
-    let n0 = ViaNic::of(&m0);
-    let n1 = ViaNic::of(&m1);
-    let out = Arc::new(Mutex::new(0f64));
-    let cap = size.max(64);
-    {
-        let n1 = Arc::clone(&n1);
-        let m1 = m1.clone();
-        sim.spawn("pong", move |ctx| {
-            let p = m1.spawn_process("pong");
-            let vi = n1.create_vi(ViAttributes::default());
-            n1.listen(1);
-            let va = p.alloc(ctx, cap.max(4096));
-            let region = MemRegion::register(ctx, &p, va, cap.max(4096));
-            for _ in 0..=rounds + 1 {
-                vi.post_recv(ctx, Descriptor::recv(Arc::clone(&region), 0, cap))
-                    .unwrap();
-            }
-            let pending = n1.connect_wait(ctx, 1);
-            n1.connect_accept(ctx, &pending, &vi).unwrap();
-            let sva = p.alloc(ctx, cap.max(4096));
-            let sregion = MemRegion::register(ctx, &p, sva, cap.max(4096));
-            for _ in 0..=rounds {
-                let _ = vi.recv_wait(ctx, WaitMode::Poll).unwrap();
-                vi.post_send(ctx, Descriptor::send(Arc::clone(&sregion), 0, size, None))
-                    .unwrap();
-            }
-        });
-    }
-    {
-        let n0 = Arc::clone(&n0);
-        let m0 = m0.clone();
-        let out = Arc::clone(&out);
-        sim.spawn("ping", move |ctx| {
-            let p = m0.spawn_process("ping");
-            let vi = n0.create_vi(ViAttributes::default());
-            let va = p.alloc(ctx, cap.max(4096));
-            let region = MemRegion::register(ctx, &p, va, cap.max(4096));
-            for _ in 0..=rounds + 1 {
-                vi.post_recv(ctx, Descriptor::recv(Arc::clone(&region), 0, cap))
-                    .unwrap();
-            }
-            ctx.sleep(SimDuration::from_millis(1));
-            n0.connect_request(ctx, &vi, ViaNicId(1), 1).unwrap();
-            let sva = p.alloc(ctx, cap.max(4096));
-            let sregion = MemRegion::register(ctx, &p, sva, cap.max(4096));
-            // Warm-up round.
-            vi.post_send(ctx, Descriptor::send(Arc::clone(&sregion), 0, size, None))
-                .unwrap();
-            let _ = vi.recv_wait(ctx, WaitMode::Poll).unwrap();
-            mark(ctx, TraceKind::MarkStart);
-            let t0 = ctx.now();
-            for _ in 0..rounds {
+fn native_via_latency(spec: &RunSpec, rounds: u32) -> RunOutput {
+    let size = spec.size;
+    simulate(spec.sched, spec.trace, "native VIA latency", |sim, out| {
+        let (m0, m1) = testbed::clan_pair(&sim.handle());
+        let n0 = ViaNic::of(&m0);
+        let n1 = ViaNic::of(&m1);
+        let cap = size.max(64);
+        {
+            let n1 = Arc::clone(&n1);
+            let m1 = m1.clone();
+            sim.spawn("pong", move |ctx| {
+                let p = m1.spawn_process("pong");
+                let vi = n1.create_vi(ViAttributes::default());
+                n1.listen(1);
+                let va = p.alloc(ctx, cap.max(4096));
+                let region = MemRegion::register(ctx, &p, va, cap.max(4096));
+                for _ in 0..=rounds + 1 {
+                    vi.post_recv(ctx, Descriptor::recv(Arc::clone(&region), 0, cap))
+                        .unwrap();
+                }
+                let pending = n1.connect_wait(ctx, 1);
+                n1.connect_accept(ctx, &pending, &vi).unwrap();
+                let sva = p.alloc(ctx, cap.max(4096));
+                let sregion = MemRegion::register(ctx, &p, sva, cap.max(4096));
+                for _ in 0..=rounds {
+                    let _ = vi.recv_wait(ctx, WaitMode::Poll).unwrap();
+                    vi.post_send(ctx, Descriptor::send(Arc::clone(&sregion), 0, size, None))
+                        .unwrap();
+                }
+            });
+        }
+        {
+            let n0 = Arc::clone(&n0);
+            let m0 = m0.clone();
+            let out = Arc::clone(out);
+            sim.spawn("ping", move |ctx| {
+                let p = m0.spawn_process("ping");
+                let vi = n0.create_vi(ViAttributes::default());
+                let va = p.alloc(ctx, cap.max(4096));
+                let region = MemRegion::register(ctx, &p, va, cap.max(4096));
+                for _ in 0..=rounds + 1 {
+                    vi.post_recv(ctx, Descriptor::recv(Arc::clone(&region), 0, cap))
+                        .unwrap();
+                }
+                ctx.sleep(SimDuration::from_millis(1));
+                n0.connect_request(ctx, &vi, ViaNicId(1), 1).unwrap();
+                let sva = p.alloc(ctx, cap.max(4096));
+                let sregion = MemRegion::register(ctx, &p, sva, cap.max(4096));
+                // Warm-up round.
                 vi.post_send(ctx, Descriptor::send(Arc::clone(&sregion), 0, size, None))
                     .unwrap();
                 let _ = vi.recv_wait(ctx, WaitMode::Poll).unwrap();
-            }
-            mark(ctx, TraceKind::MarkEnd);
-            let rtt_us = ctx.now().since(t0).as_micros_f64() / f64::from(rounds);
-            *out.lock() = rtt_us / 2.0;
-        });
-    }
-    sim.run().expect("native VIA latency simulation failed");
-    let v = *out.lock();
-    RunOutput {
-        value: v,
-        stats: sim.sched_stats(),
-        procs: sim.proc_stats(),
-        trace: sim.take_trace(),
-    }
+                mark(ctx, TraceKind::MarkStart);
+                let t0 = ctx.now();
+                for _ in 0..rounds {
+                    vi.post_send(ctx, Descriptor::send(Arc::clone(&sregion), 0, size, None))
+                        .unwrap();
+                    let _ = vi.recv_wait(ctx, WaitMode::Poll).unwrap();
+                }
+                mark(ctx, TraceKind::MarkEnd);
+                let rtt_us = ctx.now().since(t0).as_micros_f64() / f64::from(rounds);
+                *out.lock() = rtt_us / 2.0;
+            });
+        }
+    })
 }
 
-fn native_via_bandwidth_traced(
-    size: usize,
-    total: usize,
-    sched: SchedConfig,
-    trace: Option<TraceConfig>,
-) -> RunOutput {
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
-    let (m0, m1) = testbed::clan_pair(&sim.handle());
-    let n0 = ViaNic::of(&m0);
-    let n1 = ViaNic::of(&m1);
-    let out = Arc::new(Mutex::new(0f64));
+fn native_via_bandwidth(spec: &RunSpec, total: usize) -> RunOutput {
+    let size = spec.size;
+    let slot = size.max(64);
     let msgs = total.div_ceil(size);
     let total = msgs * size;
     // A descriptor ring deep enough to keep the NIC busy.
     let ring = 64usize.min(msgs + 1);
-    {
-        let n1 = Arc::clone(&n1);
-        let m1 = m1.clone();
-        sim.spawn("sink", move |ctx| {
-            let p = m1.spawn_process("sink");
-            let vi = n1.create_vi(ViAttributes::default());
-            n1.listen(1);
-            let va = p.alloc(ctx, ring * size.max(64));
-            let region = MemRegion::register(ctx, &p, va, ring * size.max(64));
-            for i in 0..ring {
-                vi.post_recv(
-                    ctx,
-                    Descriptor::recv(Arc::clone(&region), i * size.max(64), size.max(64)),
-                )
-                .unwrap();
-            }
-            let pending = n1.connect_wait(ctx, 1);
-            n1.connect_accept(ctx, &pending, &vi).unwrap();
-            for _ in 0..msgs {
-                let done = vi.recv_wait(ctx, WaitMode::Poll).unwrap();
-                // Recycle the descriptor's slot immediately.
-                let fresh = Descriptor::recv(
-                    Arc::clone(&done.region),
-                    done.offset,
-                    size.max(64),
-                );
-                vi.post_recv(ctx, fresh).unwrap();
-            }
-        });
-    }
-    {
-        let n0 = Arc::clone(&n0);
-        let m0 = m0.clone();
-        let out = Arc::clone(&out);
-        sim.spawn("source", move |ctx| {
-            let p = m0.spawn_process("source");
-            let vi = n0.create_vi(ViAttributes::default());
-            ctx.sleep(SimDuration::from_millis(1));
-            n0.connect_request(ctx, &vi, ViaNicId(1), 1).unwrap();
-            let va = p.alloc(ctx, size.max(64));
-            let region = MemRegion::register(ctx, &p, va, size.max(64));
-            mark(ctx, TraceKind::MarkStart);
-            let t0 = ctx.now();
-            let mut outstanding = 0usize;
-            for _ in 0..msgs {
-                // Keep up to `ring` sends in flight without overrunning
-                // the receiver's descriptor recycling.
-                while outstanding >= ring - 1 {
+    simulate(spec.sched, spec.trace, "native VIA bandwidth", |sim, out| {
+        let (m0, m1) = testbed::clan_pair(&sim.handle());
+        let n0 = ViaNic::of(&m0);
+        let n1 = ViaNic::of(&m1);
+        {
+            let n1 = Arc::clone(&n1);
+            let m1 = m1.clone();
+            sim.spawn("sink", move |ctx| {
+                let p = m1.spawn_process("sink");
+                let vi = n1.create_vi(ViAttributes::default());
+                n1.listen(1);
+                let va = p.alloc(ctx, ring * slot);
+                let region = MemRegion::register(ctx, &p, va, ring * slot);
+                for i in 0..ring {
+                    vi.post_recv(ctx, Descriptor::recv(Arc::clone(&region), i * slot, slot))
+                        .unwrap();
+                }
+                let pending = n1.connect_wait(ctx, 1);
+                n1.connect_accept(ctx, &pending, &vi).unwrap();
+                for _ in 0..msgs {
+                    let done = vi.recv_wait(ctx, WaitMode::Poll).unwrap();
+                    // Recycle the descriptor's slot immediately.
+                    let fresh = Descriptor::recv(Arc::clone(&done.region), done.offset, slot);
+                    vi.post_recv(ctx, fresh).unwrap();
+                }
+            });
+        }
+        {
+            let n0 = Arc::clone(&n0);
+            let m0 = m0.clone();
+            let out = Arc::clone(out);
+            sim.spawn("source", move |ctx| {
+                let p = m0.spawn_process("source");
+                let vi = n0.create_vi(ViAttributes::default());
+                ctx.sleep(SimDuration::from_millis(1));
+                n0.connect_request(ctx, &vi, ViaNicId(1), 1).unwrap();
+                let va = p.alloc(ctx, slot);
+                let region = MemRegion::register(ctx, &p, va, slot);
+                mark(ctx, TraceKind::MarkStart);
+                let t0 = ctx.now();
+                let mut outstanding = 0usize;
+                for _ in 0..msgs {
+                    // Keep up to `ring` sends in flight without overrunning
+                    // the receiver's descriptor recycling.
+                    while outstanding >= ring - 1 {
+                        let _ = vi.send_wait(ctx, WaitMode::Poll).unwrap();
+                        outstanding -= 1;
+                    }
+                    vi.post_send(ctx, Descriptor::send(Arc::clone(&region), 0, size, None))
+                        .unwrap();
+                    outstanding += 1;
+                }
+                while outstanding > 0 {
                     let _ = vi.send_wait(ctx, WaitMode::Poll).unwrap();
                     outstanding -= 1;
                 }
-                vi.post_send(ctx, Descriptor::send(Arc::clone(&region), 0, size, None))
-                    .unwrap();
-                outstanding += 1;
-            }
-            while outstanding > 0 {
-                let _ = vi.send_wait(ctx, WaitMode::Poll).unwrap();
-                outstanding -= 1;
-            }
-            mark(ctx, TraceKind::MarkEnd);
-            let secs = ctx.now().since(t0).as_secs_f64();
-            *out.lock() = total as f64 * 8.0 / secs / 1e6;
-        });
-    }
-    sim.run().expect("native VIA bandwidth simulation failed");
-    let v = *out.lock();
-    RunOutput {
-        value: v,
-        stats: sim.sched_stats(),
-        procs: sim.proc_stats(),
-        trace: sim.take_trace(),
-    }
+                mark(ctx, TraceKind::MarkEnd);
+                let secs = ctx.now().since(t0).as_secs_f64();
+                *out.lock() = total as f64 * 8.0 / secs / 1e6;
+            });
+        }
+    })
 }
 
 /// Render a figure-style table: one row per size, one column per series.

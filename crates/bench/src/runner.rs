@@ -62,20 +62,6 @@ pub fn resolve_threads(cli: Option<usize>) -> usize {
     }
 }
 
-/// Extract `--threads N` (or `--threads=N`) from a binary's argument
-/// list, removing the consumed tokens. Exits with status 2 on a
-/// malformed value, like the other bench CLI errors. (Thin wrapper over
-/// the shared parser in [`crate::cli`].)
-pub fn take_threads_arg(args: &mut Vec<String>) -> Option<usize> {
-    crate::cli::take_value(args, "--threads").map(|v| match v.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("error: --threads requires a positive integer, got {v:?}");
-            std::process::exit(2);
-        }
-    })
-}
-
 /// Run `f` over every job on at most `threads` concurrent workers,
 /// collecting results **in input order**.
 ///
@@ -137,13 +123,4 @@ where
         .into_iter()
         .map(|s| s.into_inner().expect("runner: job produced no result"))
         .collect()
-}
-
-/// [`par_map`] for jobs run only for their side effects.
-pub fn par_run<T, F>(jobs: &[T], threads: usize, f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    let _ = par_map(jobs, threads, |i, t| f(i, t));
 }

@@ -7,18 +7,20 @@
 use std::sync::Arc;
 
 use apps::ftp::{spawn_ftp_server, FtpClient, FtpServerConfig, FtpTransports, FTP_PORT};
-use dsim::{SimDuration, Simulation};
-use parking_lot::Mutex;
+use dsim::{SchedConfig, SimDuration, TraceConfig};
 use simos::fs::OpenMode;
 use simos::HostId;
 use sovia::SoviaConfig;
 use sovia_repro::testbed;
 
+use crate::micro::{simulate, RunOutput};
+use crate::runner;
+
 /// The paper's file sizes.
 pub const FILE_SIZES: [u64; 2] = [19_090_223, 145_864_380];
 
 /// One measured cell of Table 1.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Cell {
     /// Bandwidth, Mb/s.
     pub mbps: f64,
@@ -71,32 +73,22 @@ fn file_body(len: u64) -> Vec<u8> {
     v
 }
 
-/// Run one FTP transfer and report what the client reports.
-pub fn ftp_transfer(platform: Platform, file_len: u64) -> Cell {
-    ftp_transfer_traced(platform, file_len, None).0
-}
-
-/// [`ftp_transfer`] with optional tracing; returns the cell plus the
-/// captured trace (whole-run window — FTP has no warm-up phase to
-/// exclude).
-pub fn ftp_transfer_traced(
+/// Run one FTP transfer in a fresh simulation and report what the
+/// client reports. A traced run's window is the whole run: FTP has no
+/// warm-up phase to exclude.
+pub fn ftp_transfer(
     platform: Platform,
     file_len: u64,
-    trace: Option<dsim::TraceConfig>,
-) -> (Cell, Option<dsim::TraceData>) {
+    trace: Option<TraceConfig>,
+) -> RunOutput<Cell> {
     assert_ne!(platform, Platform::LocalCopy);
-    let mut sim = Simulation::with_config_and_trace(dsim::SchedConfig::default(), trace);
-    let out = Arc::new(Mutex::new(Cell {
-        mbps: 0.0,
-        secs: 0.0,
-    }));
     let transports = match platform {
         Platform::SoviaClan => FtpTransports::sovia(),
         _ => FtpTransports::tcp(),
     };
-    let run = {
-        let out = Arc::clone(&out);
-        move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
+    simulate(SchedConfig::default(), trace, "FTP", |sim, out| {
+        let out = Arc::clone(out);
+        let run = move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
             let (cp, sp) = testbed::procs(&m0, &m1);
             m1.fs().add_file("pub/file.bin", file_body(file_len));
             spawn_ftp_server(
@@ -122,37 +114,28 @@ pub fn ftp_transfer_traced(
                 };
                 ftp.quit(cctx).unwrap();
             });
+        };
+        match platform {
+            Platform::TcpFastEthernet => {
+                let (m0, m1) = testbed::tcp_ethernet_pair(&sim.handle());
+                sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
+            }
+            Platform::TcpClan => testbed::clan_dual_stack(sim, SoviaConfig::combine(), run),
+            Platform::SoviaClan => {
+                let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
+                sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
+            }
+            Platform::LocalCopy => unreachable!(),
         }
-    };
-    match platform {
-        Platform::TcpFastEthernet => {
-            let (m0, m1) = testbed::tcp_ethernet_pair(&sim.handle());
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-        Platform::TcpClan => testbed::clan_dual_stack(&sim, SoviaConfig::combine(), run),
-        Platform::SoviaClan => {
-            let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-        Platform::LocalCopy => unreachable!(),
-    }
-    sim.run().expect("FTP simulation failed");
-    let v = *out.lock();
-    (v, sim.take_trace())
+    })
 }
 
 /// The local ramdisk-to-ramdisk copy row (`cp src dst` on one host).
-pub fn local_copy(file_len: u64) -> Cell {
-    let mut sim = Simulation::new();
-    let (m0, _m1) = testbed::clan_pair(&sim.handle());
-    m0.fs().add_file("src.bin", file_body(file_len));
-    let out = Arc::new(Mutex::new(Cell {
-        mbps: 0.0,
-        secs: 0.0,
-    }));
-    {
-        let out = Arc::clone(&out);
-        let m0 = m0.clone();
+fn local_copy(file_len: u64) -> Cell {
+    simulate(SchedConfig::default(), None, "local copy", |sim, out| {
+        let (m0, _m1) = testbed::clan_pair(&sim.handle());
+        m0.fs().add_file("src.bin", file_body(file_len));
+        let out = Arc::clone(out);
         sim.spawn("cp", move |ctx| {
             let p = m0.spawn_process("cp");
             let t0 = ctx.now();
@@ -173,21 +156,13 @@ pub fn local_copy(file_len: u64) -> Cell {
                 secs,
             };
         });
-    }
-    sim.run().expect("local copy simulation failed");
-    let v = *out.lock();
-    v
-}
-
-/// Run the whole table (thread count from `SOVIA_BENCH_THREADS` /
-/// available parallelism).
-pub fn run_table1(file_sizes: &[u64]) -> Vec<Row> {
-    run_table1_with(file_sizes, crate::runner::default_threads())
+    })
+    .value
 }
 
 /// Run the whole table on at most `threads` concurrent simulations:
 /// each platform × file cell is an independent simulation.
-pub fn run_table1_with(file_sizes: &[u64], threads: usize) -> Vec<Row> {
+pub fn run_table1(file_sizes: &[u64], threads: usize) -> Vec<Row> {
     let platforms = [
         Platform::TcpFastEthernet,
         Platform::TcpClan,
@@ -198,9 +173,9 @@ pub fn run_table1_with(file_sizes: &[u64], threads: usize) -> Vec<Row> {
         .iter()
         .flat_map(|&p| file_sizes.iter().map(move |&len| (p, len)))
         .collect();
-    let cells = crate::runner::par_map(&jobs, threads, |_, &(p, len)| match p {
+    let cells = runner::par_map(&jobs, threads, |_, &(p, len)| match p {
         Platform::LocalCopy => local_copy(len),
-        _ => ftp_transfer(p, len),
+        _ => ftp_transfer(p, len, None).value,
     });
     platforms
         .iter()

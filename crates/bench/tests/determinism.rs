@@ -4,8 +4,8 @@
 //! never *what* they compute).
 
 use bench::figures::{self, SweepOutcome};
-use bench::micro;
-use dsim::SchedConfig;
+use bench::micro::{self, RunSpec, Variant};
+use dsim::{SchedConfig, SchedStats};
 use sovia::SoviaConfig;
 
 const OFF: SchedConfig = SchedConfig {
@@ -15,11 +15,19 @@ const ON: SchedConfig = SchedConfig {
     direct_handoff: true,
 };
 
+/// Run `spec` under `sched`, returning the value and scheduler counters.
+fn run_with(spec: RunSpec, sched: SchedConfig) -> (f64, SchedStats) {
+    let out = micro::run(&RunSpec { sched, ..spec });
+    (out.value, out.stats)
+}
+
+fn sovia_single_pingpong() -> RunSpec {
+    RunSpec::latency(Variant::Sovia(SoviaConfig::single()), 64, 10)
+}
+
 #[test]
 fn fig6a_pingpong_repeats_bit_identical() {
-    let run = || {
-        micro::socket_latency_with_sched(Some(SoviaConfig::single()), 64, 10, ON)
-    };
+    let run = || run_with(sovia_single_pingpong(), ON);
     let (lat_a, stats_a) = run();
     let (lat_b, stats_b) = run();
     assert!(lat_a > 0.0);
@@ -29,7 +37,7 @@ fn fig6a_pingpong_repeats_bit_identical() {
 
 #[test]
 fn fig6a_pingpong_identical_across_fast_path_ab() {
-    let run = |sched| micro::socket_latency_with_sched(Some(SoviaConfig::single()), 64, 10, sched);
+    let run = |sched| run_with(sovia_single_pingpong(), sched);
     let (lat_off, stats_off) = run(OFF);
     let (lat_on, stats_on) = run(ON);
     assert_eq!(
@@ -49,10 +57,8 @@ fn fig6a_pingpong_identical_across_fast_path_ab() {
 #[test]
 fn fig6b_stream_identical_across_fast_path_ab() {
     let run = |sched| {
-        micro::socket_bandwidth_with_sched(
-            Some(SoviaConfig::combine()),
-            4096,
-            256 * 1024,
+        run_with(
+            RunSpec::stream(Variant::Sovia(SoviaConfig::combine()), 4096, 256 * 1024),
             sched,
         )
     };
@@ -113,7 +119,7 @@ fn assert_sweeps_identical(
 #[test]
 fn fig6a_sweep_identical_across_thread_counts() {
     let sizes = [4usize, 64];
-    let run = |threads| figures::run_fig6a_sweep(&sizes, 8, threads, ON);
+    let run = |threads| figures::run_fig6a_sweep(&sizes, 8, threads);
     let base = run(1);
     assert!(base.series.iter().all(|s| s.points.iter().all(|&(_, v)| v > 0.0)));
     for threads in [2, 8] {
@@ -126,7 +132,7 @@ fn fig6a_sweep_identical_across_thread_counts() {
 #[test]
 fn fig6b_sweep_identical_across_thread_counts() {
     let sizes = [2048usize];
-    let run = |threads| figures::run_fig6b_sweep(&sizes, |_| 128 * 1024, threads, ON);
+    let run = |threads| figures::run_fig6b_sweep(&sizes, |_| 128 * 1024, threads);
     let base = run(1);
     assert!(base.series.iter().all(|s| s.points.iter().all(|&(_, v)| v > 0.0)));
     for threads in [2, 8] {
@@ -214,14 +220,14 @@ fn empty_fault_plan_is_bitwise_noop() {
 /// stall value, every fault counter, every per-point event count.
 #[test]
 fn fault_sweep_identical_across_thread_counts() {
-    use bench::fault_sweep::{render_fault_table, run_fault_sweep};
+    use bench::fault_sweep::{render_fault_table, run_fault_sweep, SWEEP_SEED};
 
-    let base = run_fault_sweep(1, ON);
+    let base = run_fault_sweep(1, SWEEP_SEED);
     assert!(base.iter().all(|p| p.goodput_mbps > 0.0));
     // Losses actually fired on the lossy points.
     assert!(base.iter().any(|p| p.faults.dropped > 0));
     for threads in [2, 8] {
-        let other = run_fault_sweep(threads, ON);
+        let other = run_fault_sweep(threads, SWEEP_SEED);
         assert_eq!(
             render_fault_table(&base),
             render_fault_table(&other),
@@ -243,7 +249,7 @@ fn fault_sweep_identical_across_thread_counts() {
 fn tcp_lane_stream_identical_across_fast_path_ab() {
     // The TCP-over-LANE variant exercises a different machine topology
     // (kernel stack + timer daemons); cover it too.
-    let run = |sched| micro::socket_bandwidth_with_sched(None, 4096, 128 * 1024, sched);
+    let run = |sched| run_with(RunSpec::stream(Variant::TcpLane, 4096, 128 * 1024), sched);
     let (bw_off, stats_off) = run(OFF);
     let (bw_on, stats_on) = run(ON);
     assert_eq!(bw_off.to_bits(), bw_on.to_bits());

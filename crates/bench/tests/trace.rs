@@ -3,9 +3,12 @@
 //! and the exported Chrome trace JSON must be byte-identical at any
 //! host thread count and across repeated runs.
 
-use bench::micro::{self, Variant};
+use bench::fault_sweep::{self, SWEEP_SEED};
+use bench::fig7::{self, RpcPlatform};
+use bench::micro::{self, Load, RunOutput, RunSpec, Variant};
+use bench::table1::{self, Platform};
 use bench::{breakdown, runner};
-use dsim::{chrome_trace_json, SchedConfig, TraceConfig};
+use dsim::{chrome_trace_json, SchedConfig, SchedStats, TraceConfig, TraceData};
 use sovia::SoviaConfig;
 
 const SCHED: SchedConfig = SchedConfig {
@@ -20,12 +23,21 @@ fn variants() -> Vec<Variant> {
     ]
 }
 
+/// Run `spec` under [`SCHED`] with tracing on.
+fn traced(spec: RunSpec) -> RunOutput {
+    micro::run(&RunSpec {
+        sched: SCHED,
+        trace: Some(TraceConfig::default()),
+        ..spec
+    })
+}
+
 /// Render every fig6a variant's traced 4-byte run into one Chrome JSON
 /// document, fanning the simulations out over `threads` host threads.
 fn traced_suite_json(threads: usize) -> String {
     let vs = variants();
     let parts: Vec<(String, dsim::TraceData)> = runner::par_map(&vs, threads, |_, v| {
-        let out = micro::latency_traced(v, 4, 8, SCHED, Some(TraceConfig::default()));
+        let out = traced(RunSpec::latency(v.clone(), 4, 8));
         (
             format!("{} 4B latency", v.label()),
             out.trace.expect("tracing was enabled"),
@@ -49,48 +61,129 @@ fn trace_json_identical_across_thread_counts() {
     }
 }
 
-/// Enabling tracing (and then ignoring the buffer) changes nothing
-/// simulated: virtual-time result bits and scheduler counters match the
-/// untraced run for every latency variant.
-#[test]
-fn tracing_enabled_is_a_virtual_time_noop_for_latency() {
-    for v in &variants() {
-        let (plain, plain_stats) = micro::latency_with_sched(v, 64, 10, SCHED);
-        let traced = micro::latency_traced(v, 64, 10, SCHED, Some(TraceConfig::default()));
-        assert_eq!(
-            plain.to_bits(),
-            traced.value.to_bits(),
-            "{}: tracing changed the measured latency",
-            v.label()
-        );
-        assert_eq!(
-            plain_stats,
-            traced.stats,
-            "{}: tracing changed the scheduler counters",
-            v.label()
-        );
-        assert!(
-            !traced.trace.as_ref().unwrap().events.is_empty(),
-            "{}: traced run captured no events",
-            v.label()
-        );
+/// What one run reports, reduced to what tracing must not change (the
+/// result's bits and the scheduler counters) plus the trace itself.
+struct Observed {
+    bits: Vec<u64>,
+    stats: SchedStats,
+    trace: Option<TraceData>,
+}
+
+impl Observed {
+    fn of<T>(out: RunOutput<T>, bits: impl FnOnce(&T) -> Vec<u64>) -> Observed {
+        Observed {
+            bits: bits(&out.value),
+            stats: out.stats,
+            trace: out.trace,
+        }
     }
 }
 
-/// Same no-op property on the bandwidth (streaming) path.
+type Row = (String, Box<dyn Fn(Option<TraceConfig>) -> Observed>);
+
+/// Every point function that serves both traced and untraced callers:
+/// each `micro::run` load on every variant, then one point each of
+/// Figure 7, Table 1 and the fault sweep.
+fn noop_rows() -> Vec<Row> {
+    let mut rows: Vec<Row> = Vec::new();
+    for (size, load) in [
+        (64, Load::PingPong { rounds: 10 }),
+        (4096, Load::Stream { total: 128 * 1024 }),
+    ] {
+        for variant in variants() {
+            let spec = RunSpec {
+                variant,
+                size,
+                load,
+                sched: SCHED,
+                trace: None,
+            };
+            let label = format!("{} {size}B {load:?}", spec.variant.label());
+            rows.push((
+                label,
+                Box::new(move |trace| {
+                    let out = micro::run(&RunSpec {
+                        trace,
+                        ..spec.clone()
+                    });
+                    Observed::of(out, |v| vec![v.to_bits()])
+                }),
+            ));
+        }
+    }
+    for p in [
+        RpcPlatform::TcpFastEthernet,
+        RpcPlatform::TcpClan,
+        RpcPlatform::SoviaClan,
+    ] {
+        rows.push((
+            format!("{} 128B RPC", p.label()),
+            Box::new(move |trace| {
+                Observed::of(fig7::rpc_elapsed(p, 128, trace), |v| vec![v.to_bits()])
+            }),
+        ));
+    }
+    for p in [
+        Platform::TcpFastEthernet,
+        Platform::TcpClan,
+        Platform::SoviaClan,
+    ] {
+        rows.push((
+            format!("{} 256KiB FTP", p.label()),
+            Box::new(move |trace| {
+                Observed::of(table1::ftp_transfer(p, 256 * 1024, trace), |c| {
+                    vec![c.mbps.to_bits(), c.secs.to_bits()]
+                })
+            }),
+        ));
+    }
+    rows.push((
+        "TCP stream, 1% frame loss".to_string(),
+        Box::new(|trace| {
+            let (p, trace) = fault_sweep::lossy_tcp_stream(
+                0.01,
+                SWEEP_SEED ^ 3,
+                fault_sweep::STREAM_MSG,
+                fault_sweep::STREAM_TOTAL,
+                trace,
+            );
+            assert!(p.faults.dropped > 0, "the 1% loss point dropped nothing");
+            Observed {
+                bits: vec![
+                    p.goodput_mbps.to_bits(),
+                    p.max_stall_us.to_bits(),
+                    p.faults.frames,
+                    p.faults.dropped,
+                ],
+                stats: p.stats,
+                trace,
+            }
+        }),
+    ));
+    rows
+}
+
+/// Enabling tracing (and then ignoring the buffer) changes nothing
+/// simulated: for every row, the result bits and scheduler counters
+/// match the untraced run, and the traced run captured events.
 #[test]
-fn tracing_enabled_is_a_virtual_time_noop_for_bandwidth() {
-    for v in &variants() {
-        let (plain, plain_stats) = micro::bandwidth_with_sched(v, 4096, 128 * 1024, SCHED);
-        let traced =
-            micro::bandwidth_traced(v, 4096, 128 * 1024, SCHED, Some(TraceConfig::default()));
+fn tracing_enabled_is_a_virtual_time_noop() {
+    for (label, run) in noop_rows() {
+        let plain = run(None);
+        let traced = run(Some(TraceConfig::default()));
+        assert!(plain.trace.is_none(), "{label}: untraced run has a trace");
         assert_eq!(
-            plain.to_bits(),
-            traced.value.to_bits(),
-            "{}: tracing changed the measured bandwidth",
-            v.label()
+            plain.bits, traced.bits,
+            "{label}: tracing changed the measured result"
         );
-        assert_eq!(plain_stats, traced.stats, "{}: counters drifted", v.label());
+        assert_eq!(
+            plain.stats, traced.stats,
+            "{label}: tracing changed the scheduler counters"
+        );
+        assert!(
+            !traced.trace.expect("tracing was enabled").events.is_empty(),
+            "{label}: traced run captured no events"
+        );
     }
 }
 
@@ -99,13 +192,11 @@ fn tracing_enabled_is_a_virtual_time_noop_for_bandwidth() {
 #[test]
 fn trace_json_identical_across_repeated_runs() {
     let run = || {
-        let out = micro::latency_traced(
-            &Variant::Sovia(SoviaConfig::single()),
+        let out = traced(RunSpec::latency(
+            Variant::Sovia(SoviaConfig::single()),
             64,
             8,
-            SCHED,
-            Some(TraceConfig::default()),
-        );
+        ));
         chrome_trace_json(&[(
             "SOVIA 64B".to_string(),
             out.trace.expect("tracing was enabled"),
@@ -172,7 +263,7 @@ fn breakdown_sums_to_window_and_shows_sovia_contrast() {
 fn traced_window_reproduces_reported_latency() {
     for v in &variants() {
         let rounds = 8u32;
-        let out = micro::latency_traced(v, 4, rounds, SCHED, Some(TraceConfig::default()));
+        let out = traced(RunSpec::latency(v.clone(), 4, rounds));
         let (w0, w1) = out
             .trace
             .as_ref()

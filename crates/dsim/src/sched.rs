@@ -268,39 +268,6 @@ pub struct SchedStats {
     pub wakeups: u64,
 }
 
-impl SchedStats {
-    /// Accumulate another simulation's counters into this one (suite-level
-    /// aggregation across many independent simulations).
-    pub fn merge(&mut self, other: &SchedStats) {
-        self.events_processed += other.events_processed;
-        self.direct_handoffs += other.direct_handoffs;
-        self.self_wakes += other.self_wakes;
-        self.coordinator_wakes += other.coordinator_wakes;
-        self.wakeups += other.wakeups;
-    }
-}
-
-impl std::ops::Add for SchedStats {
-    type Output = SchedStats;
-
-    fn add(mut self, rhs: SchedStats) -> SchedStats {
-        self.merge(&rhs);
-        self
-    }
-}
-
-impl std::ops::AddAssign for SchedStats {
-    fn add_assign(&mut self, rhs: SchedStats) {
-        self.merge(&rhs);
-    }
-}
-
-impl std::iter::Sum for SchedStats {
-    fn sum<I: Iterator<Item = SchedStats>>(iter: I) -> SchedStats {
-        iter.fold(SchedStats::default(), |acc, s| acc + s)
-    }
-}
-
 /// Per-process scheduling accounting (see [`Simulation::proc_stats`]).
 ///
 /// "Run time" is virtual CPU time: the sum of this process's charged

@@ -11,8 +11,6 @@
 # explicit top-level `gate_wall_ms` (the fault_sweep and
 # latency_breakdown scenarios — the latter also gates the tracing
 # layer: a slowdown in the traced re-runs trips it).
-# Scenarios with neither (e.g. the suite_fig6_sweep scaling scenario)
-# are tracked in the baseline but not gated.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

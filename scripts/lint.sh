@@ -33,4 +33,9 @@ else
     echo "clippy not installed; skipping (sovia-lint gate still applies)" >&2
 fi
 
+# hostbench/ is its own package that builds against `bench` and `dsim`
+# by path: type-check it here so a break in their public API fails this
+# gate rather than the benchmark run.
+cargo check --offline -q --manifest-path hostbench/Cargo.toml --all-targets
+
 [ "$JSON" = 1 ] || echo "lint OK"
