@@ -2,10 +2,9 @@
 //!
 //! Report sections, all written to `BENCH_substrate.json`:
 //!
-//! * **Fast-path A/B** — two fixed workloads run with direct token
-//!   handoff off vs on, recording wall-clock time, event throughput, and
-//!   the dispatch-path breakdown ([`dsim::SchedStats`]). Virtual-time
-//!   results are asserted identical between the two configurations.
+//! * **`handoff_pingpong`, `sovia_stream_fig6b`** — two fixed workloads
+//!   timed as the fastest of [`REPS`] runs, with event throughput and the
+//!   dispatch breakdown ([`dsim::SchedStats`]): handoffs and self-wakes.
 //! * **`fault_sweep`** — the goodput-vs-loss-rate sweep of
 //!   [`bench::fault_sweep`]: kernel TCP streaming over a lossy Fast
 //!   Ethernet link, with per-point goodput, recovery latency, and fault
@@ -20,8 +19,8 @@
 //!   [--out PATH] [--threads N] [--trace out.json]
 //!
 //! `scripts/bench.sh` wraps this and compares against the committed
-//! baseline, matching scenarios by name (the `fast_path_on` wall time
-//! and the `gate_wall_ms` fields are the regression-gated handles).
+//! baseline, matching scenarios by name (each scenario's `gate_wall_ms`
+//! is its regression-gated handle).
 //! `--trace` additionally writes the breakdown runs as a Chrome
 //! trace-event (Perfetto) JSON file. The end-to-end host cost of the
 //! paper's figure points is measured by `hostbench/` (`BENCHMARK.json`),
@@ -31,9 +30,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bench::micro::{self, RunSpec, Variant};
-use bench::{breakdown, cli, figures, runner};
+use bench::{breakdown, cli, figures};
 use dsim::sync::SimQueue;
-use dsim::{SchedConfig, SchedStats, Simulation};
+use dsim::{SchedStats, Simulation};
 use sovia::SoviaConfig;
 
 /// Ping-pong rounds for the handoff microbenchmark.
@@ -41,72 +40,41 @@ const PINGPONG_ROUNDS: u32 = 20_000;
 /// Message size / total bytes for the Figure 6(b)-style stream workload.
 const STREAM_MSG: usize = 32 * 1024;
 const STREAM_TOTAL: usize = 32 * 1024 * 1024;
-/// Timed repetitions per A/B measurement (minimum taken).
+/// Timed repetitions per measurement (minimum taken).
 const REPS: usize = 3;
 
-/// One measured side of an A/B pair.
+/// One timed workload: the fastest of [`REPS`] runs.
 #[derive(Clone, Copy)]
 struct Measured {
     wall_ms: f64,
     stats: SchedStats,
-    /// Scenario-specific virtual-time result, used to assert that the
-    /// fast path changes nothing simulated.
+    /// Scenario-specific virtual-time result.
     result: f64,
 }
 
-impl Measured {
-    fn events_per_sec(&self) -> f64 {
-        self.stats.events_processed as f64 / (self.wall_ms / 1e3)
-    }
-
-    fn json(&self, indent: &str, extra: &[(&str, f64)]) -> String {
-        let s = &self.stats;
-        let mut out = String::from("{\n");
-        let mut push = |k: &str, v: String| {
-            out.push_str(&format!("{indent}  \"{k}\": {v},\n"));
-        };
-        push("wall_ms", format!("{:.3}", self.wall_ms));
-        push("events_processed", s.events_processed.to_string());
-        push("events_per_sec", format!("{:.0}", self.events_per_sec()));
-        push("direct_handoffs", s.direct_handoffs.to_string());
-        push("self_wakes", s.self_wakes.to_string());
-        push("coordinator_roundtrips", s.coordinator_wakes.to_string());
-        for (k, v) in extra {
-            push(k, format!("{v:.3}"));
-        }
-        // Trim the trailing comma.
-        out.truncate(out.len() - 2);
-        out.push('\n');
-        out.push_str(indent);
-        out.push('}');
-        out
-    }
-}
-
-/// Run `workload` under `sched`, `REPS` times, keeping the fastest run.
-fn measure(sched: SchedConfig, workload: impl Fn(SchedConfig) -> (f64, SchedStats)) -> Measured {
+/// Run `workload` `REPS` times, keeping the fastest run.
+fn measure(workload: impl Fn() -> (f64, SchedStats)) -> Measured {
     let mut best: Option<Measured> = None;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        let (result, stats) = workload(sched);
+        let (result, stats) = workload();
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let m = Measured {
-            wall_ms,
-            stats,
-            result,
-        };
-        if best.map_or(true, |b| m.wall_ms < b.wall_ms) {
-            best = Some(m);
+        if best.map_or(true, |b| wall_ms < b.wall_ms) {
+            best = Some(Measured {
+                wall_ms,
+                stats,
+                result,
+            });
         }
     }
     best.unwrap()
 }
 
 /// Two processes ping-ponging a token through a pair of [`SimQueue`]s:
-/// the worst case for coordinator round-trips, the best case for direct
-/// handoff. Returns (final virtual time in µs, stats).
-fn pingpong(sched: SchedConfig) -> (f64, SchedStats) {
-    let mut sim = Simulation::with_config(sched);
+/// every wake is a handoff between OS threads. Returns (final virtual
+/// time in µs, stats).
+fn pingpong() -> (f64, SchedStats) {
+    let mut sim = Simulation::new();
     let h = sim.handle();
     let q1 = SimQueue::<u32>::new(&h);
     let q2 = SimQueue::<u32>::new(&h);
@@ -135,55 +103,33 @@ fn pingpong(sched: SchedConfig) -> (f64, SchedStats) {
 /// The Figure 6(b) SOVIA stream (COMBINE config): a realistic workload
 /// with NIC service threads, doorbells, and packet payloads in flight.
 /// Returns (bandwidth in Mb/s, stats).
-fn sovia_stream(sched: SchedConfig) -> (f64, SchedStats) {
-    let out = micro::run(&RunSpec {
-        sched,
-        ..RunSpec::stream(
-            Variant::Sovia(SoviaConfig::combine()),
-            STREAM_MSG,
-            STREAM_TOTAL,
-        )
-    });
+fn sovia_stream() -> (f64, SchedStats) {
+    let out = micro::run(&RunSpec::stream(
+        Variant::Sovia(SoviaConfig::combine()),
+        STREAM_MSG,
+        STREAM_TOTAL,
+    ));
     (out.value, out.stats)
 }
 
-/// Check an A/B pair's virtual-time identity and render its JSON block.
-fn render_scenario(
-    name: &str,
-    off: &Measured,
-    on: &Measured,
-    extra_fn: impl Fn(&Measured) -> Vec<(&'static str, f64)>,
-) -> String {
-    assert_eq!(
-        off.result, on.result,
-        "{name}: fast path changed a virtual-time result"
+/// Render a timed scenario's JSON block: `gate_wall_ms` (the handle
+/// `scripts/bench.sh` gates on), the dispatch breakdown, and `extra`.
+fn render_scenario(name: &str, m: &Measured, extra: &[(&str, f64)]) -> String {
+    let s = &m.stats;
+    let events_per_sec = s.events_processed as f64 / (m.wall_ms / 1e3);
+    let mut json = format!(
+        "    {{\n      \"name\": \"{name}\",\n      \"gate_wall_ms\": {:.3},\n      \
+         \"events_processed\": {},\n      \"events_per_sec\": {events_per_sec:.0},\n      \
+         \"direct_handoffs\": {},\n      \"self_wakes\": {}",
+        m.wall_ms, s.events_processed, s.direct_handoffs, s.self_wakes,
     );
-    assert_eq!(
-        off.stats.events_processed, on.stats.events_processed,
-        "{name}: fast path changed the event count"
-    );
-    let roundtrip_ratio =
-        off.stats.coordinator_wakes as f64 / (on.stats.coordinator_wakes.max(1)) as f64;
-    let wall_delta_pct = (off.wall_ms - on.wall_ms) / off.wall_ms * 100.0;
-    let mut json = format!("    {{\n      \"name\": \"{name}\",\n");
-    json.push_str(&format!(
-        "      \"fast_path_off\": {},\n",
-        off.json("      ", &extra_fn(off))
-    ));
-    json.push_str(&format!(
-        "      \"fast_path_on\": {},\n",
-        on.json("      ", &extra_fn(on))
-    ));
-    json.push_str(&format!(
-        "      \"coordinator_roundtrip_reduction_x\": {roundtrip_ratio:.2},\n"
-    ));
-    json.push_str(&format!(
-        "      \"wall_clock_reduction_pct\": {wall_delta_pct:.1}\n    }}"
-    ));
+    for (k, v) in extra {
+        json.push_str(&format!(",\n      \"{k}\": {v:.3}"));
+    }
+    json.push_str("\n    }");
     eprintln!(
-        "{name}: wall {:.1} ms -> {:.1} ms ({wall_delta_pct:+.1}%), \
-         coordinator round-trips {} -> {} ({roundtrip_ratio:.1}x fewer)",
-        off.wall_ms, on.wall_ms, off.stats.coordinator_wakes, on.stats.coordinator_wakes,
+        "{name}: wall {:.1} ms, {} events ({events_per_sec:.0}/s), {} handoffs, {} self-wakes",
+        m.wall_ms, s.events_processed, s.direct_handoffs, s.self_wakes,
     );
     json
 }
@@ -333,59 +279,30 @@ fn main() {
         }
     }
 
-    // The A/B grid — scenario × {off, on} — flattened into one job list
-    // and run through the same runner as the sweeps. Timed A/B jobs are
-    // pinned to the sequential path (cap 1): running them concurrently
-    // would measure host contention, not the scheduler.
-    let ab_jobs: [(&str, bool); 4] = [
-        ("handoff_pingpong", false),
-        ("handoff_pingpong", true),
-        ("sovia_stream_fig6b", false),
-        ("sovia_stream_fig6b", true),
-    ];
-    let measured = runner::par_map(&ab_jobs, 1, |_, &(name, handoff_on)| {
-        let sched = SchedConfig {
-            direct_handoff: handoff_on,
-        };
-        match name {
-            "handoff_pingpong" => measure(sched, pingpong),
-            _ => measure(sched, sovia_stream),
-        }
-    });
-    let (pp_off, pp_on, st_off, st_on) = (measured[0], measured[1], measured[2], measured[3]);
-
+    // Timed sequentially: running them concurrently would measure host
+    // contention, not the scheduler.
+    let pp = measure(pingpong);
+    let st = measure(sovia_stream);
     let handoffs = f64::from(PINGPONG_ROUNDS) * 2.0;
-    let pp_json = render_scenario("handoff_pingpong", &pp_off, &pp_on, |m| {
-        vec![("ns_per_handoff", m.wall_ms * 1e6 / handoffs)]
-    });
-    let st_json = render_scenario("sovia_stream_fig6b", &st_off, &st_on, |m| {
-        vec![
-            ("sim_bandwidth_mbps", m.result),
-            (
-                "sim_bytes_per_wall_sec",
-                STREAM_TOTAL as f64 / (m.wall_ms / 1e3),
-            ),
-        ]
-    });
+    let pp_json = render_scenario(
+        "handoff_pingpong",
+        &pp,
+        &[("ns_per_handoff", pp.wall_ms * 1e6 / handoffs)],
+    );
+    let st_json = render_scenario(
+        "sovia_stream_fig6b",
+        &st,
+        &[
+            ("sim_bandwidth_mbps", st.result),
+            ("sim_bytes_per_wall_sec", STREAM_TOTAL as f64 / (st.wall_ms / 1e3)),
+        ],
+    );
     let fault_json = render_fault_scenario(threads);
     let breakdown_json = render_breakdown_scenario(args.trace.as_deref());
 
-    // Acceptance summary: best coordinator round-trip reduction and best
-    // wall-clock reduction across the A/B scenarios.
-    let best_rt = [(&pp_off, &pp_on), (&st_off, &st_on)]
-        .iter()
-        .map(|(o, n)| o.stats.coordinator_wakes as f64 / n.stats.coordinator_wakes.max(1) as f64)
-        .fold(0.0f64, f64::max);
-    let best_wall = [(&pp_off, &pp_on), (&st_off, &st_on)]
-        .iter()
-        .map(|(o, n)| (o.wall_ms - n.wall_ms) / o.wall_ms * 100.0)
-        .fold(f64::NEG_INFINITY, f64::max);
-
     let json = format!(
         "{{\n  \"pingpong_rounds\": {PINGPONG_ROUNDS},\n  \"stream_msg_bytes\": {STREAM_MSG},\n  \
-         \"stream_total_bytes\": {STREAM_TOTAL},\n  \"reps\": {REPS},\n  \"scenarios\": [\n{pp_json},\n{st_json},\n{fault_json},\n{breakdown_json}\n  ],\n  \
-         \"best_coordinator_roundtrip_reduction_x\": {best_rt:.2},\n  \
-         \"best_wall_clock_reduction_pct\": {best_wall:.1}\n}}\n"
+         \"stream_total_bytes\": {STREAM_TOTAL},\n  \"reps\": {REPS},\n  \"scenarios\": [\n{pp_json},\n{st_json},\n{fault_json},\n{breakdown_json}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write report");
     println!("{json}");

@@ -74,7 +74,7 @@ pub fn lossy_tcp_stream(
     total: usize,
     trace: Option<TraceConfig>,
 ) -> (FaultPoint, Option<TraceData>) {
-    let mut sim = Simulation::with_config_and_trace(SchedConfig::default(), trace);
+    let mut sim = Simulation::with_config_and_trace(SchedConfig, trace);
     let h = sim.handle();
     let plan = if loss_p > 0.0 {
         FaultPlan::drops(seed, loss_p)

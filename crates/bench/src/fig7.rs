@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use apps::rpc::client::Transport;
 use apps::rpc::echo::{echo_client, echo_len_1, echo_null_1, spawn_echo_server};
-use dsim::{SchedConfig, SimDuration, TraceConfig, TraceKind};
+use dsim::{SimDuration, TraceConfig, TraceKind};
 use simos::HostId;
 use sovia::SoviaConfig;
 use sovia_repro::testbed;
@@ -52,7 +52,7 @@ pub fn rpc_elapsed(platform: RpcPlatform, arg_len: usize, trace: Option<TraceCon
         RpcPlatform::SoviaClan => Transport::Via,
         _ => Transport::Tcp,
     };
-    simulate(SchedConfig::default(), trace, "RPC", |sim, out| {
+    simulate(trace, "RPC", |sim, out| {
         let out = Arc::clone(out);
         let run = move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
             let (cp, sp) = testbed::procs(&m0, &m1);

@@ -90,22 +90,18 @@ pub struct RunSpec {
     pub size: usize,
     /// Ping-pong or stream.
     pub load: Load,
-    /// Scheduler configuration (host-side only: never changes the
-    /// result).
-    pub sched: SchedConfig,
     /// Tracing, when the caller wants the trace back in
     /// [`RunOutput::trace`].
     pub trace: Option<TraceConfig>,
 }
 
 impl RunSpec {
-    /// A Figure 6(a) ping-pong point under the default scheduler,
-    /// untraced.
+    /// A Figure 6(a) ping-pong point, untraced.
     pub fn latency(variant: Variant, size: usize, rounds: u32) -> RunSpec {
         RunSpec::with_load(variant, size, Load::PingPong { rounds })
     }
 
-    /// A Figure 6(b) stream point under the default scheduler, untraced.
+    /// A Figure 6(b) stream point, untraced.
     pub fn stream(variant: Variant, size: usize, total: usize) -> RunSpec {
         RunSpec::with_load(variant, size, Load::Stream { total })
     }
@@ -115,7 +111,6 @@ impl RunSpec {
             variant,
             size,
             load,
-            sched: SchedConfig::default(),
             trace: None,
         }
     }
@@ -147,12 +142,11 @@ pub(crate) fn mark(ctx: &dsim::SimCtx, kind: TraceKind) {
 /// spawn its processes (they write the result into the shared slot),
 /// run it, then collect the result, counters and trace.
 pub(crate) fn simulate<T: Copy + Default + Send + 'static>(
-    sched: SchedConfig,
     trace: Option<TraceConfig>,
     what: &str,
     setup: impl FnOnce(&mut Simulation, &Arc<Mutex<T>>),
 ) -> RunOutput<T> {
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
+    let mut sim = Simulation::with_config_and_trace(SchedConfig, trace);
     let out = Arc::new(Mutex::new(T::default()));
     setup(&mut sim, &out);
     if let Err(e) = sim.run() {
@@ -210,7 +204,7 @@ fn start_socket_pair(
 fn socket_latency(spec: &RunSpec, rounds: u32) -> RunOutput {
     let size = spec.size;
     let stype = sock_type(&spec.variant);
-    simulate(spec.sched, spec.trace, "latency", |sim, out| {
+    simulate(spec.trace, "latency", |sim, out| {
         let out = Arc::clone(out);
         start_socket_pair(sim, &spec.variant, move |ctx, m0, m1| {
             let (cp, sp) = testbed::procs(&m0, &m1);
@@ -272,7 +266,7 @@ fn socket_bandwidth(spec: &RunSpec, total: usize) -> RunOutput {
     let stype = sock_type(&spec.variant);
     let msgs = total.div_ceil(size);
     let total = msgs * size;
-    simulate(spec.sched, spec.trace, "bandwidth", |sim, out| {
+    simulate(spec.trace, "bandwidth", |sim, out| {
         let out = Arc::clone(out);
         start_socket_pair(sim, &spec.variant, move |ctx, m0, m1| {
             let (cp, sp) = testbed::procs(&m0, &m1);
@@ -344,7 +338,7 @@ fn socket_bandwidth(spec: &RunSpec, total: usize) -> RunOutput {
 
 fn native_via_latency(spec: &RunSpec, rounds: u32) -> RunOutput {
     let size = spec.size;
-    simulate(spec.sched, spec.trace, "native VIA latency", |sim, out| {
+    simulate(spec.trace, "native VIA latency", |sim, out| {
         let (m0, m1) = testbed::clan_pair(&sim.handle());
         let n0 = ViaNic::of(&m0);
         let n1 = ViaNic::of(&m1);
@@ -416,7 +410,7 @@ fn native_via_bandwidth(spec: &RunSpec, total: usize) -> RunOutput {
     let total = msgs * size;
     // A descriptor ring deep enough to keep the NIC busy.
     let ring = 64usize.min(msgs + 1);
-    simulate(spec.sched, spec.trace, "native VIA bandwidth", |sim, out| {
+    simulate(spec.trace, "native VIA bandwidth", |sim, out| {
         let (m0, m1) = testbed::clan_pair(&sim.handle());
         let n0 = ViaNic::of(&m0);
         let n1 = ViaNic::of(&m1);

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use apps::ftp::{spawn_ftp_server, FtpClient, FtpServerConfig, FtpTransports, FTP_PORT};
-use dsim::{SchedConfig, SimDuration, TraceConfig};
+use dsim::{SimDuration, TraceConfig};
 use simos::fs::OpenMode;
 use simos::HostId;
 use sovia::SoviaConfig;
@@ -86,7 +86,7 @@ pub fn ftp_transfer(
         Platform::SoviaClan => FtpTransports::sovia(),
         _ => FtpTransports::tcp(),
     };
-    simulate(SchedConfig::default(), trace, "FTP", |sim, out| {
+    simulate(trace, "FTP", |sim, out| {
         let out = Arc::clone(out);
         let run = move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
             let (cp, sp) = testbed::procs(&m0, &m1);
@@ -132,7 +132,7 @@ pub fn ftp_transfer(
 
 /// The local ramdisk-to-ramdisk copy row (`cp src dst` on one host).
 fn local_copy(file_len: u64) -> Cell {
-    simulate(SchedConfig::default(), None, "local copy", |sim, out| {
+    simulate(None, "local copy", |sim, out| {
         let (m0, _m1) = testbed::clan_pair(&sim.handle());
         m0.fs().add_file("src.bin", file_body(file_len));
         let out = Arc::clone(out);

@@ -1,24 +1,24 @@
 //! Determinism regression tests: every paper experiment must be
-//! bit-identical run to run, and bit-identical across the scheduler's
-//! direct-handoff A/B (the fast path changes *how* events are dispatched,
-//! never *what* they compute).
+//! bit-identical run to run and at any host thread count, and a few
+//! small points are pinned to their exact value bits and event counts.
 
 use bench::figures::{self, SweepOutcome};
 use bench::micro::{self, RunSpec, Variant};
-use dsim::{SchedConfig, SchedStats};
+use dsim::SchedStats;
 use sovia::SoviaConfig;
 
-const OFF: SchedConfig = SchedConfig {
-    direct_handoff: false,
-};
-const ON: SchedConfig = SchedConfig {
-    direct_handoff: true,
-};
-
-/// Run `spec` under `sched`, returning the value and scheduler counters.
-fn run_with(spec: RunSpec, sched: SchedConfig) -> (f64, SchedStats) {
-    let out = micro::run(&RunSpec { sched, ..spec });
+/// Run `spec`, returning the value and scheduler counters.
+fn run(spec: RunSpec) -> (f64, SchedStats) {
+    let out = micro::run(&spec);
     (out.value, out.stats)
+}
+
+/// Run `spec` and assert its value bits and event count.
+fn assert_pinned(spec: RunSpec, bits: u64, events: u64) -> (f64, SchedStats) {
+    let (value, stats) = run(spec);
+    assert_eq!(value.to_bits(), bits, "virtual-time result drifted: {value}");
+    assert_eq!(stats.events_processed, events, "event count drifted");
+    (value, stats)
 }
 
 fn sovia_single_pingpong() -> RunSpec {
@@ -27,54 +27,30 @@ fn sovia_single_pingpong() -> RunSpec {
 
 #[test]
 fn fig6a_pingpong_repeats_bit_identical() {
-    let run = || run_with(sovia_single_pingpong(), ON);
-    let (lat_a, stats_a) = run();
-    let (lat_b, stats_b) = run();
+    let (lat_a, stats_a) = run(sovia_single_pingpong());
+    let (lat_b, stats_b) = run(sovia_single_pingpong());
     assert!(lat_a > 0.0);
     assert_eq!(lat_a.to_bits(), lat_b.to_bits(), "latency drifted between runs");
     assert_eq!(stats_a, stats_b, "dispatch counters drifted between runs");
 }
 
 #[test]
-fn fig6a_pingpong_identical_across_fast_path_ab() {
-    let run = |sched| run_with(sovia_single_pingpong(), sched);
-    let (lat_off, stats_off) = run(OFF);
-    let (lat_on, stats_on) = run(ON);
-    assert_eq!(
-        lat_off.to_bits(),
-        lat_on.to_bits(),
-        "fast path changed a virtual-time result"
-    );
-    assert_eq!(
-        stats_off.events_processed, stats_on.events_processed,
-        "fast path changed the event count"
-    );
-    // The breakdown *should* differ: that is the whole point of the A/B.
-    assert_eq!(stats_off.direct_handoffs + stats_off.self_wakes, 0);
-    assert!(stats_on.direct_handoffs + stats_on.self_wakes > 0);
+fn fig6a_pingpong_is_pinned() {
+    // 12.795 µs one-way.
+    let (_, stats) = assert_pinned(sovia_single_pingpong(), 0x4029_970a_3d70_a3d7, 740);
+    assert!(stats.direct_handoffs + stats.self_wakes > 0);
 }
 
 #[test]
-fn fig6b_stream_identical_across_fast_path_ab() {
-    let run = |sched| {
-        run_with(
-            RunSpec::stream(Variant::Sovia(SoviaConfig::combine()), 4096, 256 * 1024),
-            sched,
-        )
-    };
-    let (bw_off, stats_off) = run(OFF);
-    let (bw_on, stats_on) = run(ON);
-    assert!(bw_off > 0.0);
-    assert_eq!(
-        bw_off.to_bits(),
-        bw_on.to_bits(),
-        "fast path changed the measured bandwidth"
-    );
-    assert_eq!(stats_off.events_processed, stats_on.events_processed);
-    // Repeatability under the same config, counters included.
-    let (bw2, stats2) = run(ON);
-    assert_eq!(bw_on.to_bits(), bw2.to_bits());
-    assert_eq!(stats_on, stats2);
+fn fig6b_stream_is_pinned() {
+    let spec = || RunSpec::stream(Variant::Sovia(SoviaConfig::combine()), 4096, 256 * 1024);
+    // 655.17 Mb/s.
+    let (bw, stats) = assert_pinned(spec(), 0x4084_7962_de53_8ec0, 1595);
+    assert!(bw > 0.0);
+    // Repeatability, counters included.
+    let (bw2, stats2) = run(spec());
+    assert_eq!(bw.to_bits(), bw2.to_bits());
+    assert_eq!(stats, stats2);
 }
 
 /// Assert two sweep passes are bit-identical: rendered table, per-point
@@ -152,7 +128,7 @@ fn exchange(stype: sockets::SockType, faulted: bool) -> (dsim::SimTime, dsim::Sc
     use sockets::{api, SockAddr};
     use sovia_repro::testbed;
 
-    let mut sim = Simulation::with_config(ON);
+    let mut sim = Simulation::new();
     let h = sim.handle();
     let empty = FaultPlan::empty();
     let (m0, m1) = match (stype, faulted) {
@@ -246,12 +222,12 @@ fn fault_sweep_identical_across_thread_counts() {
 }
 
 #[test]
-fn tcp_lane_stream_identical_across_fast_path_ab() {
+fn tcp_lane_stream_is_pinned() {
     // The TCP-over-LANE variant exercises a different machine topology
-    // (kernel stack + timer daemons); cover it too.
-    let run = |sched| run_with(RunSpec::stream(Variant::TcpLane, 4096, 128 * 1024), sched);
-    let (bw_off, stats_off) = run(OFF);
-    let (bw_on, stats_on) = run(ON);
-    assert_eq!(bw_off.to_bits(), bw_on.to_bits());
-    assert_eq!(stats_off.events_processed, stats_on.events_processed);
+    // (kernel stack + timer daemons); cover it too. 453.49 Mb/s.
+    assert_pinned(
+        RunSpec::stream(Variant::TcpLane, 4096, 128 * 1024),
+        0x407c_57e6_ea16_1f9b,
+        4658,
+    );
 }

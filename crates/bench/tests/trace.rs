@@ -8,12 +8,8 @@ use bench::fig7::{self, RpcPlatform};
 use bench::micro::{self, Load, RunOutput, RunSpec, Variant};
 use bench::table1::{self, Platform};
 use bench::{breakdown, runner};
-use dsim::{chrome_trace_json, SchedConfig, SchedStats, TraceConfig, TraceData};
+use dsim::{chrome_trace_json, SchedStats, TraceConfig, TraceData};
 use sovia::SoviaConfig;
-
-const SCHED: SchedConfig = SchedConfig {
-    direct_handoff: true,
-};
 
 fn variants() -> Vec<Variant> {
     vec![
@@ -23,10 +19,9 @@ fn variants() -> Vec<Variant> {
     ]
 }
 
-/// Run `spec` under [`SCHED`] with tracing on.
+/// Run `spec` with tracing on.
 fn traced(spec: RunSpec) -> RunOutput {
     micro::run(&RunSpec {
-        sched: SCHED,
         trace: Some(TraceConfig::default()),
         ..spec
     })
@@ -95,7 +90,6 @@ fn noop_rows() -> Vec<Row> {
                 variant,
                 size,
                 load,
-                sched: SCHED,
                 trace: None,
             };
             let label = format!("{} {size}B {load:?}", spec.variant.label());

@@ -3,11 +3,12 @@
 //! # Execution model
 //!
 //! Simulation *processes* are real OS threads, but exactly one of them (or
-//! the coordinator) runs at any instant: control is handed around with a
-//! token-passing handshake. This gives sequential discrete-event semantics —
-//! the simulation is fully deterministic for a given program — while letting
-//! protocol code be written in a natural blocking style (`ctx.sleep(..)`,
-//! `cv.wait(&ctx)`), exactly how the SOVIA paper's threads are written.
+//! the thread inside [`Simulation::run`]) runs at any instant: control is
+//! handed around with a token-passing handshake. This gives sequential
+//! discrete-event semantics — the simulation is fully deterministic for a
+//! given program — while letting protocol code be written in a natural
+//! blocking style (`ctx.sleep(..)`, `cv.wait(&ctx)`), exactly how the SOVIA
+//! paper's threads are written.
 //!
 //! Events live in a binary heap ordered by `(time, sequence)`; the sequence
 //! number breaks ties in schedule order, so same-instant events fire in a
@@ -23,21 +24,20 @@
 //! *mutate shared state first, then wake; waiters re-check predicates in a
 //! loop*.
 //!
-//! # Direct token handoff (fast path)
+//! # One dispatcher
 //!
-//! Dispatching every event through the coordinator costs two OS thread
-//! switches per wake (yielder → coordinator → wakee). When a process parks
-//! and the next heap event is a `Wake`, the parking process dispatches it
-//! *itself* under the state lock — advancing the clock, dropping stale
-//! wakes, and charging the shared event budget exactly as the coordinator
-//! would — then raises the target's resume signal directly (one switch), or
-//! returns immediately if it woke itself (zero switches, the common case
-//! for an uncontended `sleep`). The coordinator is only re-entered for
-//! `Call` events, an empty heap (completion/deadlock detection), a spent
-//! event budget, a recorded panic, or teardown, so all of those behave
-//! identically with the fast path on or off. Dispatch order is the exact
-//! `(time, seq)` heap order either way; virtual-time results are
-//! bit-identical. Toggle via [`SchedConfig`] for A/B measurement.
+//! Only `SimCore::dispatch` pops the event heap. The thread that gives up
+//! the token runs it: a process parking in `SimCtx::park`, a process
+//! thread exiting, or `run()`'s thread once at the start. It pops entries
+//! in `(time, seq)` order, charges the event budget, drops stale wakes and
+//! runs `Call` callbacks inline (outside the state lock, under
+//! `catch_unwind`), until it reaches a deliverable `Wake`. It marks that
+//! process Running, and the caller passes the token on: a parking process
+//! that woke itself just returns (zero OS switches, the common case for an
+//! uncontended `sleep`); otherwise the caller raises the target's resume
+//! signal (one switch). When nothing is dispatchable — empty heap, spent
+//! budget, recorded panic or teardown — the token goes back to `run()`'s
+//! thread, which classifies the outcome.
 
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
@@ -47,7 +47,7 @@ use std::sync::Arc;
 // sovia-lint: allow(R2) -- dsim IS the boundary: simulated processes are carried by real OS threads that only run when the scheduler hands them the token
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceConfig, TraceData, TraceEvent, TraceKind, TraceLayer, TraceShared, TraceTag, Tracer};
@@ -220,48 +220,26 @@ impl Signal {
     }
 }
 
-/// Scheduler tuning knobs (see the module docs on the fast path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedConfig {
-    /// Hand the execution token directly between processes when the next
-    /// event permits, bypassing the coordinator thread. Never changes
-    /// virtual-time results; kept toggleable for A/B benchmarking.
-    pub direct_handoff: bool,
-}
-
-impl SchedConfig {
-    /// Default configuration, honouring the `DSIM_DIRECT_HANDOFF`
-    /// environment variable (`0`/`off`/`false` disables the fast path) so
-    /// A/B runs need no code changes.
-    fn from_env() -> SchedConfig {
-        let disabled = std::env::var("DSIM_DIRECT_HANDOFF")
-            .map(|v| matches!(v.as_str(), "0" | "off" | "false" | "no"))
-            .unwrap_or(false);
-        SchedConfig {
-            direct_handoff: !disabled,
-        }
-    }
-}
-
-impl Default for SchedConfig {
-    fn default() -> SchedConfig {
-        SchedConfig::from_env()
-    }
-}
+/// Scheduler configuration. It has no fields: the scheduler has one
+/// dispatch path and no knobs. The type remains only because
+/// `hostbench/` names it in `Simulation::with_config_and_trace`; a later
+/// benchmark change drops it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedConfig;
 
 /// Counters describing how a simulation was executed (host-side only;
 /// nothing here feeds back into virtual time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Heap entries popped (wakes, calls, stale wakes) — identical for a
-    /// given program whichever dispatch path ran them.
+    /// Heap entries popped (wakes, calls, stale wakes).
     pub events_processed: u64,
-    /// Wakes a parking process delivered directly to another process
-    /// (one OS switch instead of two).
+    /// Wakes a parking or exiting process delivered to another process
+    /// (one OS switch).
     pub direct_handoffs: u64,
     /// Wakes a parking process delivered to *itself* (zero OS switches).
     pub self_wakes: u64,
-    /// Wakes dispatched by the coordinator (two OS switches: the slow path).
+    /// Wakes dispatched from `run()`'s thread: at most 1 per run (the
+    /// first dispatch; every later one happens on a process thread).
     pub coordinator_wakes: u64,
     /// Total wake deliveries across all processes (every reason except
     /// teardown); per-process detail is in [`Simulation::proc_stats`].
@@ -295,12 +273,11 @@ struct SchedState {
     next_pid: u64,
     /// Number of processes not yet Done.
     live: usize,
-    /// Set when the coordinator decides to tear everything down.
+    /// Set when `run()` tears everything down.
     shutting_down: bool,
-    /// Panic captured from a process, reported by `run`.
+    /// Panic captured from a process or callback, reported by `run`.
     panic: Option<(String, String)>,
-    /// Heap entries popped so far — shared between the coordinator and the
-    /// fast path so `run_with_limit` stops at the same event either way.
+    /// Heap entries popped so far (charged against `max_events`).
     events: u64,
     /// Event budget (`u64::MAX` when unlimited).
     max_events: u64,
@@ -315,10 +292,9 @@ static SIM_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) struct SimCore {
     state: Mutex<SchedState>,
-    /// Raised by a process when it yields the token back to the coordinator.
+    /// Raised when the token goes back to `run()`'s thread: nothing is
+    /// left to dispatch, or a process finished unwinding at teardown.
     coord: Signal,
-    /// Immutable scheduler configuration.
-    config: SchedConfig,
     /// Which simulation instance this is (thread-naming only).
     sim_id: u64,
     /// Event recorder; `None` (the default) makes every emission site a
@@ -335,6 +311,86 @@ impl SimCore {
         let seq = state.seq;
         state.seq += 1;
         state.heap.push(EventEntry { time: at, seq, kind });
+    }
+
+    /// The dispatcher, called by whichever thread gives up the token: pop
+    /// heap entries in `(time, seq)` order, charging each against the event
+    /// budget, dropping stale wakes and running `Call` callbacks inline,
+    /// until a deliverable `Wake` turns up. That process is marked Running
+    /// and its pid returned. `None` means the token goes back to `run()`:
+    /// empty heap, spent budget, recorded panic, or teardown.
+    ///
+    /// Callbacks run with the state lock released (they schedule wakes)
+    /// and under `catch_unwind`: a panicking callback is recorded like a
+    /// panicking process, so `run()` still tears the simulation down.
+    fn dispatch<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, SchedState>,
+    ) -> (MutexGuard<'a, SchedState>, Option<ProcId>) {
+        loop {
+            if st.panic.is_some() || st.shutting_down {
+                return (st, None);
+            }
+            let Some(e) = st.heap.pop() else {
+                return (st, None);
+            };
+            st.now = e.time;
+            st.events += 1;
+            if st.events > st.max_events {
+                return (st, None);
+            }
+            match e.kind {
+                EventKind::Call { cancelled, f } => {
+                    if cancelled.load(Ordering::Relaxed) {
+                        continue;
+                    }
+                    let now = SimTime(st.now);
+                    drop(st);
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| f(now)));
+                    st = self.state.lock();
+                    if let Err(payload) = result {
+                        if st.panic.is_none() {
+                            st.panic = Some(("<callback>".to_string(), panic_message(&*payload)));
+                        }
+                    }
+                }
+                EventKind::Wake { pid, epoch, reason } => {
+                    let now = st.now;
+                    let Some(slot) = st.procs.get_mut(&pid.0) else {
+                        continue;
+                    };
+                    if slot.state != ProcState::Parked || slot.epoch != epoch {
+                        continue; // stale wake
+                    }
+                    slot.epoch += 1;
+                    slot.state = ProcState::Running;
+                    slot.wake_reason = Some(reason);
+                    slot.wakeups += 1;
+                    if reason == WakeReason::Sleep {
+                        slot.runtime_ns += now - slot.parked_at_ns;
+                    }
+                    st.stats.wakeups += 1;
+                    return (st, Some(pid));
+                }
+            }
+        }
+    }
+
+    /// Hand the token to `next` (raise its resume signal), or back to
+    /// `run()`'s thread when there is none. Releases the state lock first.
+    fn pass_token(&self, st: MutexGuard<'_, SchedState>, next: Option<ProcId>) {
+        match next {
+            Some(pid) => {
+                let slot = st.procs.get(&pid.0).expect("dispatched pid has a slot");
+                let resume = Arc::clone(&slot.resume);
+                drop(st);
+                resume.raise();
+            }
+            None => {
+                drop(st);
+                self.coord.raise();
+            }
+        }
     }
 }
 
@@ -363,7 +419,8 @@ impl SimHandle {
         }
     }
 
-    /// Schedule `f` to run on the coordinator at `now + delay`.
+    /// Schedule `f` to run at `now + delay`, on whichever thread dispatches
+    /// that event.
     ///
     /// The callback must not block; it may mutate shared state and notify
     /// condition variables. Returns a guard that can cancel the timer.
@@ -468,8 +525,11 @@ impl SimHandle {
                         }
                     }
                 }
-                drop(st);
-                core.coord.raise();
+                let (mut st, next) = core.dispatch(st);
+                if next.is_some() {
+                    st.stats.direct_handoffs += 1;
+                }
+                core.pass_token(st, next);
             })
             // sovia-lint: allow(R5) -- OS thread exhaustion has no in-simulation recovery; dying loudly here beats a wedged scheduler
             .expect("failed to spawn simulation thread");
@@ -684,11 +744,7 @@ impl SimCtx {
     /// code should prefer [`crate::sync`] primitives.
     pub(crate) fn park(&self) -> WakeReason {
         let core = &self.handle.core;
-        let resume;
-        // When the fast path dispatched a wake to another process, its
-        // resume signal to raise after dropping the state lock.
-        let mut handoff: Option<Arc<Signal>> = None;
-        {
+        let resume = {
             let mut st = core.state.lock();
             let now = st.now;
             let slot = st
@@ -702,94 +758,39 @@ impl SimCtx {
             );
             slot.state = ProcState::Parked;
             slot.parked_at_ns = now;
-            resume = Arc::clone(&slot.resume);
-            if core.config.direct_handoff {
-                if let Some(target) = Self::dispatch_next_wake(&mut st) {
-                    if target == self.pid {
-                        // We consumed our own wake: skip the handshake
-                        // entirely (zero OS switches).
-                        st.stats.self_wakes += 1;
-                        let slot = st.procs.get_mut(&self.pid.0).expect("park: self slot");
-                        let reason = slot
-                            .wake_reason
-                            .take()
-                            .expect("self-wake without a reason");
-                        debug_assert_ne!(reason, WakeReason::Shutdown);
-                        return reason;
-                    }
-                    st.stats.direct_handoffs += 1;
-                    let slot = st.procs.get(&target.0).expect("handoff target slot");
-                    handoff = Some(Arc::clone(&slot.resume));
-                }
+            let resume = Arc::clone(&slot.resume);
+            let (mut st, next) = core.dispatch(st);
+            if next == Some(self.pid) {
+                // We dispatched our own wake: keep the token (zero OS
+                // switches).
+                st.stats.self_wakes += 1;
+                let reason = self.take_wake_reason(&mut st);
+                debug_assert_ne!(reason, WakeReason::Shutdown);
+                return reason;
             }
-        }
-        match handoff {
-            // Fast path: wake the next process directly (one OS switch).
-            Some(next) => next.raise(),
-            // Slow path: return the token to the coordinator.
-            None => core.coord.raise(),
-        }
+            if next.is_some() {
+                st.stats.direct_handoffs += 1;
+            }
+            core.pass_token(st, next);
+            resume
+        };
         resume.await_and_clear();
-        let mut st = core.state.lock();
-        let slot = st
-            .procs
-            .get_mut(&self.pid.0)
-            .expect("park: unknown pid after wake");
-        let reason = slot
-            .wake_reason
-            .take()
-            .expect("woken without a wake reason");
+        let reason = self.take_wake_reason(&mut core.state.lock());
         if reason == WakeReason::Shutdown {
-            drop(st);
             // resume_unwind skips the panic hook: teardown is silent.
             panic::resume_unwind(Box::new(ShutdownToken));
         }
         reason
     }
 
-    /// Fast-path dispatcher: if the heap's next event is a deliverable
-    /// `Wake` within the event budget, pop it (advancing the clock and
-    /// charging the shared budget exactly like the coordinator), mark the
-    /// target Running, and return its pid. Stale wakes are popped, counted
-    /// and dropped along the way — the same sequence the coordinator would
-    /// execute. Returns `None` whenever the coordinator must take over:
-    /// `Call` events, empty heap, spent budget, recorded panic, teardown.
-    fn dispatch_next_wake(st: &mut SchedState) -> Option<ProcId> {
-        loop {
-            if st.panic.is_some() || st.shutting_down {
-                return None;
-            }
-            match st.heap.peek() {
-                Some(e) if matches!(e.kind, EventKind::Wake { .. }) => {}
-                _ => return None,
-            }
-            if st.events + 1 > st.max_events {
-                // Let the coordinator charge the over-budget event and
-                // report `EventLimit` — identical boundary either way.
-                return None;
-            }
-            let e = st.heap.pop().expect("peeked entry vanished");
-            st.events += 1;
-            st.now = e.time;
-            let EventKind::Wake { pid, epoch, reason } = e.kind else {
-                unreachable!("peek said Wake");
-            };
-            let Some(slot) = st.procs.get_mut(&pid.0) else {
-                continue;
-            };
-            if slot.state != ProcState::Parked || slot.epoch != epoch {
-                continue; // stale wake, dropped exactly like the slow path
-            }
-            slot.epoch += 1;
-            slot.state = ProcState::Running;
-            slot.wake_reason = Some(reason);
-            slot.wakeups += 1;
-            if reason == WakeReason::Sleep {
-                slot.runtime_ns += e.time - slot.parked_at_ns;
-            }
-            st.stats.wakeups += 1;
-            return Some(pid);
-        }
+    /// Consume the reason the dispatcher stored when it woke us.
+    fn take_wake_reason(&self, st: &mut SchedState) -> WakeReason {
+        st.procs
+            .get_mut(&self.pid.0)
+            .expect("park: unknown pid after wake")
+            .wake_reason
+            .take()
+            .expect("woken without a wake reason")
     }
 }
 
@@ -806,24 +807,17 @@ impl Default for Simulation {
 }
 
 impl Simulation {
-    /// Create an empty simulation at t = 0 with the default scheduler
-    /// configuration (fast path on unless `DSIM_DIRECT_HANDOFF=0`).
+    /// Create an empty simulation at t = 0.
     pub fn new() -> Simulation {
-        Simulation::with_config(SchedConfig::default())
-    }
-
-    /// Create an empty simulation with an explicit scheduler configuration
-    /// (used for A/B benchmarking of the dispatch fast path).
-    pub fn with_config(config: SchedConfig) -> Simulation {
-        Simulation::with_config_and_trace(config, None)
+        Simulation::with_config_and_trace(SchedConfig, None)
     }
 
     /// Create an empty simulation, optionally recording trace events.
-    /// With `trace: None` this is exactly [`Simulation::with_config`]:
+    /// With `trace: None` this is exactly [`Simulation::new`]:
     /// virtual-time results are identical either way — tracing observes,
-    /// never perturbs.
+    /// never perturbs. `SchedConfig` carries nothing (see its docs).
     pub fn with_config_and_trace(
-        config: SchedConfig,
+        _config: SchedConfig,
         trace: Option<TraceConfig>,
     ) -> Simulation {
         let core = Arc::new(SimCore {
@@ -841,7 +835,6 @@ impl Simulation {
                 stats: SchedStats::default(),
             }),
             coord: Signal::new_inline(),
-            config,
             sim_id: SIM_COUNTER.fetch_add(1, Ordering::Relaxed),
             trace: trace.map(|cfg| Arc::new(TraceShared::new(cfg))),
         });
@@ -851,12 +844,7 @@ impl Simulation {
         }
     }
 
-    /// Heap events processed so far (meaningful during and after `run`).
-    pub fn events_processed(&self) -> u64 {
-        self.handle.core.state.lock().events
-    }
-
-    /// Execution counters (dispatch-path breakdown). Virtual-time results
+    /// Execution counters (dispatch breakdown). Virtual-time results
     /// never depend on these; they exist for host-performance tracking.
     pub fn sched_stats(&self) -> SchedStats {
         let st = self.handle.core.state.lock();
@@ -864,11 +852,6 @@ impl Simulation {
             events_processed: st.events,
             ..st.stats
         }
-    }
-
-    /// The scheduler configuration this simulation runs with.
-    pub fn config(&self) -> SchedConfig {
-        self.handle.core.config
     }
 
     /// Per-process run-time and wakeup accounting, ordered by pid
@@ -923,8 +906,8 @@ impl Simulation {
 
     /// Run until all processes finish, returning the final virtual time.
     ///
-    /// Takes `&mut self` so callers can query [`Simulation::events_processed`]
-    /// and [`Simulation::sched_stats`] afterwards; a simulation still runs
+    /// Takes `&mut self` so callers can query [`Simulation::sched_stats`]
+    /// afterwards; a simulation still runs
     /// at most once.
     pub fn run(&mut self) -> Result<SimTime, SimError> {
         self.run_inner(u64::MAX)
@@ -939,89 +922,46 @@ impl Simulation {
         assert!(!self.ran, "Simulation::run called twice");
         self.ran = true;
         let core = Arc::clone(&self.handle.core);
-        core.state.lock().max_events = max_events;
-        let result = loop {
-            let entry = {
-                let mut st = core.state.lock();
-                if let Some((name, msg)) = st.panic.take() {
-                    break Err(SimError::ProcessPanicked { name, message: msg });
-                }
-                match st.heap.pop() {
-                    Some(e) => {
-                        st.now = e.time;
-                        // The budget counter is shared with the fast path;
-                        // both charge every popped entry, so the limit trips
-                        // at the same event whichever path is dispatching.
-                        st.events += 1;
-                        if st.events > st.max_events {
-                            break Err(SimError::EventLimit {
-                                at: SimTime(st.now),
-                                processed: st.events - 1,
-                            });
-                        }
-                        e
-                    }
-                    None => {
-                        if st.live == 0 {
-                            break Ok(SimTime(st.now));
-                        }
-                        let parked = st
-                            .procs
-                            .values()
-                            .filter(|p| p.state == ProcState::Parked && !p.daemon)
-                            .map(|p| p.name.clone())
-                            .collect();
-                        break Err(SimError::Deadlock {
-                            at: SimTime(st.now),
-                            parked,
-                        });
-                    }
-                }
-            };
-            match entry.kind {
-                EventKind::Call { cancelled, f } => {
-                    if !cancelled.load(Ordering::Relaxed) {
-                        let now = SimTime(core.state.lock().now);
-                        f(now);
-                        // A callback may have been the last thing keeping the
-                        // simulation alive; loop around and re-check.
-                        let st = core.state.lock();
-                        if let Some((name, msg)) = st.panic.clone() {
-                            drop(st);
-                            break Err(SimError::ProcessPanicked { name, message: msg });
-                        }
-                    }
-                }
-                EventKind::Wake { pid, epoch, reason } => {
-                    let resume = {
-                        let mut st = core.state.lock();
-                        let now = st.now;
-                        let slot = match st.procs.get_mut(&pid.0) {
-                            Some(s) => s,
-                            None => continue,
-                        };
-                        if slot.state != ProcState::Parked || slot.epoch != epoch {
-                            continue; // stale wake
-                        }
-                        slot.epoch += 1;
-                        slot.state = ProcState::Running;
-                        slot.wake_reason = Some(reason);
-                        slot.wakeups += 1;
-                        if reason == WakeReason::Sleep {
-                            slot.runtime_ns += now - slot.parked_at_ns;
-                        }
-                        let resume = Arc::clone(&slot.resume);
-                        st.stats.coordinator_wakes += 1;
-                        st.stats.wakeups += 1;
-                        resume
-                    };
-                    resume.raise();
-                    core.coord.await_and_clear();
-                }
+        {
+            let mut st = core.state.lock();
+            st.max_events = max_events;
+            let (mut st, next) = core.dispatch(st);
+            if next.is_some() {
+                st.stats.coordinator_wakes += 1;
             }
-        };
+            core.pass_token(st, next);
+        }
+        // Process threads dispatch every later event; the token comes back
+        // here only when nothing is left to dispatch.
+        core.coord.await_and_clear();
+        let result = Self::outcome(core.state.lock());
         self.teardown();
         result
+    }
+
+    /// Classify why dispatch stopped. A spent budget has charged the
+    /// refused event; otherwise the heap is empty, and the run either
+    /// completed or wedged.
+    fn outcome(mut st: MutexGuard<'_, SchedState>) -> Result<SimTime, SimError> {
+        let at = SimTime(st.now);
+        if let Some((name, message)) = st.panic.take() {
+            Err(SimError::ProcessPanicked { name, message })
+        } else if st.events > st.max_events {
+            Err(SimError::EventLimit {
+                at,
+                processed: st.events - 1,
+            })
+        } else if st.live == 0 {
+            Ok(at)
+        } else {
+            let parked = st
+                .procs
+                .values()
+                .filter(|p| p.state == ProcState::Parked && !p.daemon)
+                .map(|p| p.name.clone())
+                .collect();
+            Err(SimError::Deadlock { at, parked })
+        }
     }
 
     /// Wake every parked process with `Shutdown` (making it unwind) and join
@@ -1275,28 +1215,34 @@ mod tests {
     }
 
     #[test]
-    fn proc_stats_identical_across_dispatch_paths() {
-        let run = |direct_handoff| {
-            let mut sim = Simulation::with_config(SchedConfig { direct_handoff });
-            for name in ["a", "b"] {
-                sim.spawn(name, |ctx| {
-                    for _ in 0..4 {
-                        ctx.sleep(SimDuration::from_micros(3));
-                        ctx.yield_now();
-                    }
-                });
-            }
-            sim.run().unwrap();
-            sim.proc_stats()
+    fn proc_stats_of_interleaved_sleep_and_yield() {
+        let mut sim = Simulation::new();
+        for name in ["a", "b"] {
+            sim.spawn(name, |ctx| {
+                for _ in 0..4 {
+                    ctx.sleep(SimDuration::from_micros(3));
+                    ctx.yield_now();
+                }
+            });
+        }
+        sim.run().unwrap();
+        // Runtime = four 3 µs sleeps; wakeups = Start + 4 sleeps + 4 yields.
+        let want = |pid, name: &str| ProcStats {
+            pid,
+            name: name.to_string(),
+            daemon: false,
+            runtime: SimDuration::from_micros(12),
+            wakeups: 9,
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(sim.proc_stats(), vec![want(0, "a"), want(1, "b")]);
+        assert_eq!(sim.sched_stats().events_processed, 18);
     }
 
     #[test]
     fn trace_records_spans_and_names() {
         use crate::trace::{TraceConfig, TraceKind, TraceLayer, TraceTag};
         let mut sim =
-            Simulation::with_config_and_trace(SchedConfig::default(), Some(TraceConfig::default()));
+            Simulation::with_config_and_trace(SchedConfig, Some(TraceConfig::default()));
         sim.spawn("worker", |ctx| {
             ctx.sleep(SimDuration::from_micros(2));
             ctx.trace_span(

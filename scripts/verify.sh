@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 scripts/lint.sh
 cargo test -q
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 cargo test -q --test proptest_faults --test half_close
 cargo test -q -p via --test error_paths
 cargo test -q -p bench --test determinism
