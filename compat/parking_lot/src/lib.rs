@@ -3,15 +3,13 @@
 //! The build container has no crates.io access, so the workspace pins this
 //! path crate instead of the real `parking_lot` (see `[workspace.dependencies]`
 //! in the root manifest). Only the surface the repo actually uses is
-//! provided: `Mutex` / `MutexGuard` with panic-tolerant `lock()`, and a
-//! `Condvar` whose `wait` takes `&mut MutexGuard` (parking_lot style).
+//! provided: `Mutex` / `MutexGuard` with panic-tolerant `lock()`.
 //! Poisoning is deliberately swallowed — parking_lot has no poisoning, and
 //! the simulator relies on being able to lock after a worker panicked.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::Duration;
 
 /// A mutual-exclusion primitive (parking_lot-flavoured: no poisoning,
 /// guard-returning `lock()` with no `Result`).
@@ -21,9 +19,7 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard returned by [`Mutex::lock`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so `Condvar::wait` can temporarily take the std guard out
-    // (std's wait consumes and returns the guard; parking_lot's mutates).
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -44,16 +40,16 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking the current (OS) thread.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
+            Ok(inner) => Some(MutexGuard { inner }),
             Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
+                inner: p.into_inner(),
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
@@ -89,13 +85,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken during condvar wait")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken during condvar wait")
+        &mut self.inner
     }
 }
 
@@ -108,74 +104,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
 impl<T: ?Sized + fmt::Display> fmt::Display for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(&**self, f)
-    }
-}
-
-/// Result of a timed condvar wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended by timeout rather than notification.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable whose `wait` mutates the guard in place.
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically release the guard's lock and wait for a notification.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard taken during condvar wait");
-        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-    }
-
-    /// Timed variant of [`Condvar::wait`].
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.inner.take().expect("guard taken during condvar wait");
-        let (g, res) = self
-            .inner
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-        WaitTimeoutResult(res.timed_out())
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        // std does not report whether anyone was woken; parking_lot's bool
-        // return is advisory only in this codebase.
-        true
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
     }
 }
 
@@ -204,25 +132,5 @@ mod tests {
         // parking_lot semantics: no poisoning, lock still usable.
         *m.lock() = 7;
         assert_eq!(*m.lock(), 7);
-    }
-
-    #[test]
-    fn condvar_wait_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut g = m.lock();
-            *g = true;
-            drop(g);
-            cv.notify_one();
-        });
-        let (m, cv) = &*pair;
-        let mut g = m.lock();
-        while !*g {
-            cv.wait(&mut g);
-        }
-        t.join().unwrap();
-        assert!(*g);
     }
 }

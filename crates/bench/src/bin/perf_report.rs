@@ -71,7 +71,7 @@ fn measure(workload: impl Fn() -> (f64, SchedStats)) -> Measured {
 }
 
 /// Two processes ping-ponging a token through a pair of [`SimQueue`]s:
-/// every wake is a handoff between OS threads. Returns (final virtual
+/// every wake is a handoff between process fibers. Returns (final virtual
 /// time in µs, stats).
 fn pingpong() -> (f64, SchedStats) {
     let mut sim = Simulation::new();

@@ -1,7 +1,8 @@
 //! # dsim — deterministic discrete-event simulation kernel
 //!
 //! The foundation of the SOVIA reproduction: a virtual-time executor whose
-//! *processes* are real OS threads handed an execution token one at a time.
+//! *processes* are stackful coroutines on the thread that calls
+//! [`Simulation::run`], handed an execution token one at a time.
 //! Protocol code (VIPL, TCP, the SOVIA layer) is written in ordinary
 //! blocking style, while every microsecond reported by the benchmarks comes
 //! from the explicit cost model, not from host wall-clock.
@@ -44,6 +45,7 @@
 
 #![warn(missing_docs)]
 
+mod fiber;
 mod sched;
 mod time;
 

@@ -2,9 +2,10 @@
 //!
 //! # Execution model
 //!
-//! Simulation *processes* are real OS threads, but exactly one of them (or
-//! the thread inside [`Simulation::run`]) runs at any instant: control is
-//! handed around with a token-passing handshake. This gives sequential
+//! Simulation *processes* are stackful coroutines ([`crate::fiber`]), all
+//! carried by the OS thread that calls [`Simulation::run`]. Exactly one of
+//! them (or `run()` itself) holds the execution token at any instant, and
+//! passing it on is a user-level register swap. This gives sequential
 //! discrete-event semantics — the simulation is fully deterministic for a
 //! given program — while letting protocol code be written in a natural
 //! blocking style (`ctx.sleep(..)`, `cv.wait(&ctx)`), exactly how the SOVIA
@@ -26,29 +27,27 @@
 //!
 //! # One dispatcher
 //!
-//! Only `SimCore::dispatch` pops the event heap. The thread that gives up
+//! Only `SimCore::dispatch` pops the event heap. The context that gives up
 //! the token runs it: a process parking in `SimCtx::park`, a process
-//! thread exiting, or `run()`'s thread once at the start. It pops entries
-//! in `(time, seq)` order, charges the event budget, drops stale wakes and
-//! runs `Call` callbacks inline (outside the state lock, under
-//! `catch_unwind`), until it reaches a deliverable `Wake`. It marks that
-//! process Running, and the caller passes the token on: a parking process
-//! that woke itself just returns (zero OS switches, the common case for an
-//! uncontended `sleep`); otherwise the caller raises the target's resume
-//! signal (one switch). When nothing is dispatchable — empty heap, spent
-//! budget, recorded panic or teardown — the token goes back to `run()`'s
-//! thread, which classifies the outcome.
+//! exiting, or `run()` once at the start. It pops entries in `(time, seq)`
+//! order, charges the event budget, drops stale wakes and runs `Call`
+//! callbacks inline (outside the state lock, under `catch_unwind`), until
+//! it reaches a deliverable `Wake`. It marks that process Running, and the
+//! caller passes the token on: a parking process that woke itself just
+//! returns (no switch, the common case for an uncontended `sleep`);
+//! otherwise the caller switches to the target's fiber. When nothing is
+//! dispatchable — empty heap, spent budget, recorded panic or teardown —
+//! the token goes back to `run()`, which classifies the outcome.
 
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-// sovia-lint: allow(R2) -- dsim IS the boundary: simulated processes are carried by real OS threads that only run when the scheduler hands them the token
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
+use crate::fiber::{self, Context, Fiber};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceConfig, TraceData, TraceEvent, TraceKind, TraceLayer, TraceShared, TraceTag, Tracer};
 
@@ -175,8 +174,10 @@ struct ProcSlot {
     state: ProcState,
     epoch: u64,
     wake_reason: Option<WakeReason>,
-    resume: Arc<Signal>,
-    thread: Option<JoinHandle<()>>,
+    /// The process's coroutine; `None` once teardown has unmapped it.
+    fiber: Option<Box<Fiber>>,
+    /// What the fiber runs on its first resume (taken then).
+    body: Option<Box<dyn FnOnce() + Send>>,
     /// Daemons (NIC engines, protocol handler loops) do not keep the
     /// simulation alive: it completes when all non-daemon processes finish.
     daemon: bool,
@@ -188,36 +189,6 @@ struct ProcSlot {
     runtime_ns: u64,
     /// Virtual time at which this process last parked.
     parked_at_ns: u64,
-}
-
-/// A simple binary handshake signal (real condvar, used only for the token
-/// handoff — never for simulated time).
-struct Signal {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Signal {
-    fn new() -> Arc<Signal> {
-        Arc::new(Signal {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn raise(&self) {
-        let mut g = self.flag.lock();
-        *g = true;
-        self.cv.notify_one();
-    }
-
-    fn await_and_clear(&self) {
-        let mut g = self.flag.lock();
-        while !*g {
-            self.cv.wait(&mut g);
-        }
-        *g = false;
-    }
 }
 
 /// Scheduler configuration. It has no fields: the scheduler has one
@@ -234,12 +205,12 @@ pub struct SchedStats {
     /// Heap entries popped (wakes, calls, stale wakes).
     pub events_processed: u64,
     /// Wakes a parking or exiting process delivered to another process
-    /// (one OS switch).
+    /// (one fiber switch).
     pub direct_handoffs: u64,
-    /// Wakes a parking process delivered to *itself* (zero OS switches).
+    /// Wakes a parking process delivered to *itself* (no switch).
     pub self_wakes: u64,
-    /// Wakes dispatched from `run()`'s thread: at most 1 per run (the
-    /// first dispatch; every later one happens on a process thread).
+    /// Wakes dispatched by `run()`: at most 1 per run (the first
+    /// dispatch; every later one happens on a process fiber).
     pub coordinator_wakes: u64,
     /// Total wake deliveries across all processes (every reason except
     /// teardown); per-process detail is in [`Simulation::proc_stats`].
@@ -285,18 +256,12 @@ struct SchedState {
     stats: SchedStats,
 }
 
-/// Process-global counter distinguishing simulation instances in OS
-/// thread names (`sim<N>-p<pid>-<name>`). Host-side debugging aid only —
-/// it never feeds virtual time, so concurrent suites stay deterministic.
-static SIM_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 pub(crate) struct SimCore {
     state: Mutex<SchedState>,
-    /// Raised when the token goes back to `run()`'s thread: nothing is
-    /// left to dispatch, or a process finished unwinding at teardown.
-    coord: Signal,
-    /// Which simulation instance this is (thread-naming only).
-    sim_id: u64,
+    /// Where `run()` is suspended while a process holds the token; the
+    /// token comes back here when nothing is left to dispatch, or when a
+    /// process finished unwinding at teardown.
+    main: Context,
     /// Event recorder; `None` (the default) makes every emission site a
     /// single predictable branch.
     pub(crate) trace: Option<Arc<TraceShared>>,
@@ -313,7 +278,7 @@ impl SimCore {
         state.heap.push(EventEntry { time: at, seq, kind });
     }
 
-    /// The dispatcher, called by whichever thread gives up the token: pop
+    /// The dispatcher, called by whichever context gives up the token: pop
     /// heap entries in `(time, seq)` order, charging each against the event
     /// budget, dropping stale wakes and running `Call` callbacks inline,
     /// until a deliverable `Wake` turns up. That process is marked Running
@@ -376,21 +341,37 @@ impl SimCore {
         }
     }
 
-    /// Hand the token to `next` (raise its resume signal), or back to
-    /// `run()`'s thread when there is none. Releases the state lock first.
-    fn pass_token(&self, st: MutexGuard<'_, SchedState>, next: Option<ProcId>) {
-        match next {
-            Some(pid) => {
-                let slot = st.procs.get(&pid.0).expect("dispatched pid has a slot");
-                let resume = Arc::clone(&slot.resume);
-                drop(st);
-                resume.raise();
-            }
-            None => {
-                drop(st);
-                self.coord.raise();
-            }
+    /// The saved context of process `pid`, or of `run()` for `None`.
+    fn context<'a>(&'a self, st: &'a SchedState, pid: Option<ProcId>) -> &'a Context {
+        match pid {
+            Some(pid) => st.procs[&pid.0]
+                .fiber
+                .as_ref()
+                .expect("a live process has a fiber")
+                .context(),
+            None => &self.main,
         }
+    }
+
+    /// Switch from the running context `from` (a process, or `run()` for
+    /// `None`) to `to` (likewise), and return when something switches
+    /// back to `from`. Releases the state lock first: the next context
+    /// locks it on this same OS thread.
+    fn pass_token(&self, st: MutexGuard<'_, SchedState>, from: Option<ProcId>, to: Option<ProcId>) {
+        // std counts panics per OS thread: a switch while one unwinds would
+        // show it to every other process.
+        // sovia-lint: allow(R2) -- a query of this thread's panic count, not a thread: every process shares the one OS thread
+        debug_assert!(!std::thread::panicking(), "token passed during a panic");
+        let save: *const Context = self.context(&st, from);
+        let resume: *const Context = self.context(&st, to);
+        drop(st);
+        // SAFETY: both contexts outlive the switch: `main` lives in this
+        // `SimCore`, which `run()` keeps alive, and a fiber is boxed in its
+        // slot until teardown, after every process is Done. `resume` is
+        // suspended: it is `run()` (which only ever waits here), or a
+        // process the dispatcher just marked Running after it parked or
+        // before it started.
+        unsafe { fiber::switch(save, resume) };
     }
 }
 
@@ -419,8 +400,8 @@ impl SimHandle {
         }
     }
 
-    /// Schedule `f` to run at `now + delay`, on whichever thread dispatches
-    /// that event.
+    /// Schedule `f` to run at `now + delay`, on the stack of whichever
+    /// process (or `run()`) dispatches that event.
     ///
     /// The callback must not block; it may mutate shared state and notify
     /// condition variables. Returns a guard that can cancel the timer.
@@ -481,7 +462,6 @@ impl SimHandle {
         F: FnOnce(&SimCtx) + Send + 'static,
     {
         let name = name.into();
-        let resume = Signal::new();
         let mut st = self.core.state.lock();
         let pid = ProcId(st.next_pid);
         st.next_pid += 1;
@@ -490,49 +470,39 @@ impl SimHandle {
             handle: self.clone(),
             pid,
         };
-        let thread_resume = Arc::clone(&resume);
         let core = Arc::clone(&self.core);
-        let tname = name.clone();
-        // `sim<N>-p<pid>-<name>` keeps debugger/`perf` output legible when
-        // dozens of simulations run concurrently (the OS-level name is
-        // truncated to 15 bytes on Linux; the sim/pid prefix survives).
-        // sovia-lint: allow(R2) -- the one place the runner creates carrier threads; everything above this layer uses sim.spawn()
-        let thread = std::thread::Builder::new()
-            .name(format!("sim{}-p{}-{tname}", self.core.sim_id, pid.0))
-            .spawn(move || {
-                // Wait for the first wake (Start) before touching anything.
-                thread_resume.await_and_clear();
-                {
-                    // Consume the Start reason.
-                    let mut st = core.state.lock();
-                    let slot = st.procs.get_mut(&pid.0).expect("slot exists");
-                    let r = slot.wake_reason.take();
-                    debug_assert_eq!(r, Some(WakeReason::Start));
+        let pname = name.clone();
+        // Runs once, on the fiber, and drops every capture (the `Arc`s
+        // onto the simulation included) before `fiber_entry` switches
+        // away for good.
+        let body = move || {
+            let reason = ctx.take_wake_reason(&mut core.state.lock());
+            // A process torn down before it ever ran skips its body.
+            let start = reason == WakeReason::Start;
+            debug_assert!(start || reason == WakeReason::Shutdown, "{reason:?}");
+            let result = panic::catch_unwind(AssertUnwindSafe(move || {
+                if start {
+                    f(&ctx);
                 }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                let mut st = core.state.lock();
-                let slot = st.procs.get_mut(&pid.0).expect("slot exists");
-                slot.state = ProcState::Done;
-                if !daemon {
-                    st.live -= 1;
+            }));
+            let mut st = core.state.lock();
+            let slot = st.procs.get_mut(&pid.0).expect("slot exists");
+            slot.state = ProcState::Done;
+            if !daemon {
+                st.live -= 1;
+            }
+            if let Err(payload) = result {
+                let is_shutdown = payload.downcast_ref::<ShutdownToken>().is_some();
+                if !is_shutdown && !st.shutting_down && st.panic.is_none() {
+                    st.panic = Some((pname, panic_message(&*payload)));
                 }
-                if let Err(payload) = result {
-                    let is_shutdown = payload.downcast_ref::<ShutdownToken>().is_some();
-                    if !is_shutdown && !st.shutting_down {
-                        let msg = panic_message(&*payload);
-                        if st.panic.is_none() {
-                            st.panic = Some((tname.clone(), msg));
-                        }
-                    }
-                }
-                let (mut st, next) = core.dispatch(st);
-                if next.is_some() {
-                    st.stats.direct_handoffs += 1;
-                }
-                core.pass_token(st, next);
-            })
-            // sovia-lint: allow(R5) -- OS thread exhaustion has no in-simulation recovery; dying loudly here beats a wedged scheduler
-            .expect("failed to spawn simulation thread");
+            }
+        };
+        let fiber = Fiber::new(
+            fiber_entry,
+            Arc::as_ptr(&self.core) as usize,
+            pid.0 as usize,
+        );
 
         if let Some(tr) = &self.core.trace {
             tr.names.lock().push((pid.0, name.clone()));
@@ -542,8 +512,8 @@ impl SimHandle {
             state: ProcState::Parked,
             epoch: 0,
             wake_reason: None,
-            resume,
-            thread: Some(thread),
+            fiber: Some(fiber),
+            body: Some(Box::new(body)),
             daemon,
             wakeups: 0,
             runtime_ns: 0,
@@ -637,7 +607,7 @@ impl TimerGuard {
 
 /// Per-process context: the capability to block in virtual time.
 ///
-/// A `SimCtx` must only be used from the process thread it was created for.
+/// A `SimCtx` must only be used from the process it was created for.
 #[derive(Clone)]
 pub struct SimCtx {
     pub(crate) handle: SimHandle,
@@ -744,7 +714,7 @@ impl SimCtx {
     /// code should prefer [`crate::sync`] primitives.
     pub(crate) fn park(&self) -> WakeReason {
         let core = &self.handle.core;
-        let resume = {
+        {
             let mut st = core.state.lock();
             let now = st.now;
             let slot = st
@@ -754,15 +724,13 @@ impl SimCtx {
             assert_eq!(
                 slot.state,
                 ProcState::Running,
-                "park() called from a thread that does not hold the token"
+                "park() called from a process that does not hold the token"
             );
             slot.state = ProcState::Parked;
             slot.parked_at_ns = now;
-            let resume = Arc::clone(&slot.resume);
             let (mut st, next) = core.dispatch(st);
             if next == Some(self.pid) {
-                // We dispatched our own wake: keep the token (zero OS
-                // switches).
+                // We dispatched our own wake: keep the token (no switch).
                 st.stats.self_wakes += 1;
                 let reason = self.take_wake_reason(&mut st);
                 debug_assert_ne!(reason, WakeReason::Shutdown);
@@ -771,10 +739,8 @@ impl SimCtx {
             if next.is_some() {
                 st.stats.direct_handoffs += 1;
             }
-            core.pass_token(st, next);
-            resume
-        };
-        resume.await_and_clear();
+            core.pass_token(st, Some(self.pid), next);
+        }
         let reason = self.take_wake_reason(&mut core.state.lock());
         if reason == WakeReason::Shutdown {
             // resume_unwind skips the panic hook: teardown is silent.
@@ -794,7 +760,7 @@ impl SimCtx {
     }
 }
 
-/// A whole simulation: owns the event queue, clock, and process threads.
+/// A whole simulation: owns the event queue, clock, and process fibers.
 pub struct Simulation {
     handle: SimHandle,
     ran: bool,
@@ -834,8 +800,7 @@ impl Simulation {
                 max_events: u64::MAX,
                 stats: SchedStats::default(),
             }),
-            coord: Signal::new_inline(),
-            sim_id: SIM_COUNTER.fetch_add(1, Ordering::Relaxed),
+            main: Context::empty(),
             trace: trace.map(|cfg| Arc::new(TraceShared::new(cfg))),
         });
         Simulation {
@@ -921,19 +886,20 @@ impl Simulation {
     fn run_inner(&mut self, max_events: u64) -> Result<SimTime, SimError> {
         assert!(!self.ran, "Simulation::run called twice");
         self.ran = true;
+        // Keeps the core alive while fibers run: `fiber_entry` borrows it
+        // through a raw pointer.
         let core = Arc::clone(&self.handle.core);
-        {
-            let mut st = core.state.lock();
-            st.max_events = max_events;
-            let (mut st, next) = core.dispatch(st);
-            if next.is_some() {
-                st.stats.coordinator_wakes += 1;
-            }
-            core.pass_token(st, next);
+        let mut st = core.state.lock();
+        st.max_events = max_events;
+        let (mut st, next) = core.dispatch(st);
+        if next.is_some() {
+            st.stats.coordinator_wakes += 1;
+            // Processes dispatch every later event; the token comes back
+            // here only when nothing is left to dispatch.
+            core.pass_token(st, None, next);
+        } else {
+            drop(st);
         }
-        // Process threads dispatch every later event; the token comes back
-        // here only when nothing is left to dispatch.
-        core.coord.await_and_clear();
         let result = Self::outcome(core.state.lock());
         self.teardown();
         result
@@ -964,55 +930,57 @@ impl Simulation {
         }
     }
 
-    /// Wake every parked process with `Shutdown` (making it unwind) and join
-    /// all threads.
+    /// Resume every parked process with `Shutdown` (making it unwind, or
+    /// skip its body if it never started), then unmap the fibers' stacks.
     fn teardown(&mut self) {
         let core = &self.handle.core;
         loop {
-            // Find one parked process, shut it down, repeat.
-            let target = {
-                let mut st = core.state.lock();
-                st.shutting_down = true;
-                st.procs
-                    .iter_mut()
-                    .find(|(_, s)| s.state == ProcState::Parked)
-                    .map(|(_, slot)| {
-                        slot.state = ProcState::Running;
-                        slot.epoch += 1;
-                        slot.wake_reason = Some(WakeReason::Shutdown);
-                        Arc::clone(&slot.resume)
-                    })
-            };
+            let mut st = core.state.lock();
+            st.shutting_down = true;
+            let target = st
+                .procs
+                .iter_mut()
+                .find(|(_, s)| s.state == ProcState::Parked)
+                .map(|(pid, slot)| {
+                    slot.state = ProcState::Running;
+                    slot.epoch += 1;
+                    slot.wake_reason = Some(WakeReason::Shutdown);
+                    ProcId(*pid)
+                });
             match target {
-                Some(resume) => {
-                    resume.raise();
-                    core.coord.await_and_clear();
-                }
+                Some(pid) => core.pass_token(st, None, Some(pid)),
                 None => break,
             }
         }
-        // All processes are Done; join the threads.
-        let handles: Vec<JoinHandle<()>> = {
-            let mut st = core.state.lock();
-            st.procs
-                .values_mut()
-                .filter_map(|s| s.thread.take())
-                .collect()
-        };
-        for h in handles {
-            let _ = h.join();
+        // Every process is Done: no stack is in use any more.
+        for slot in core.state.lock().procs.values_mut() {
+            slot.fiber = None;
         }
     }
 }
 
-impl Signal {
-    /// Non-Arc constructor for embedding in `SimCore`.
-    fn new_inline() -> Signal {
-        Signal {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-        }
+/// First code on a process's fiber: run the process body, then dispatch
+/// the next event and leave for good. `core` points to the `SimCore`
+/// that `run()` keeps alive; fibers only ever run inside `run()`.
+extern "C" fn fiber_entry(core: usize, pid: usize) -> ! {
+    // SAFETY: see above; `run()` holds an `Arc` until every fiber is done.
+    let core = unsafe { &*(core as *const SimCore) };
+    let pid = ProcId(pid as u64);
+    let body = core
+        .state
+        .lock()
+        .procs
+        .get_mut(&pid.0)
+        .and_then(|s| s.body.take())
+        .expect("a fiber runs its body once");
+    body();
+    let st = core.state.lock();
+    let (mut st, next) = core.dispatch(st);
+    if next.is_some() {
+        st.stats.direct_handoffs += 1;
     }
+    core.pass_token(st, Some(pid), next);
+    unreachable!("a finished process was resumed");
 }
 
 /// Unwind payload used to silently tear a process down at end of simulation.

@@ -1,7 +1,10 @@
 //! Scheduler edge cases: exact event budgets, stale wakes, deadlock
-//! reports, handoff chains and panicking callbacks. Every scenario pins
-//! its event count, so a change in dispatch order shows up here.
+//! reports, handoff chains, panicking callbacks and processes torn down
+//! before they start. Every scenario pins its event count, so a change in
+//! dispatch order shows up here. The last tests pin what the carrier
+//! guarantees: one OS thread, and a full-size stack per process.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use dsim::sync::{SimCondvar, SimQueue, TimedWait};
@@ -207,4 +210,87 @@ fn run_thread_dispatches_at_most_one_wake() {
         stats.wakeups,
         stats.coordinator_wakes + stats.direct_handoffs + stats.self_wakes
     );
+}
+
+#[test]
+fn never_started_process_is_torn_down_without_running() {
+    // "bad" panics at 1 µs, before "late" is due to start at 10 µs. The
+    // run must report the panic, and teardown must retire "late" without
+    // ever running its body.
+    let ran = Arc::new(AtomicBool::new(false));
+    run_pinned(2, |sim| {
+        sim.spawn("bad", |ctx| {
+            ctx.sleep(SimDuration::from_micros(1));
+            panic!("boom");
+        });
+        let ran = Arc::clone(&ran);
+        sim.handle()
+            .spawn_delayed("late", SimDuration::from_micros(10), move |_| {
+                ran.store(true, Ordering::Relaxed);
+            });
+        match sim.run() {
+            Err(SimError::ProcessPanicked { name, message }) => {
+                assert_eq!(name, "bad");
+                assert!(message.contains("boom"), "message: {message}");
+            }
+            other => panic!("expected ProcessPanicked, got {other:?}"),
+        }
+    });
+    assert!(!ran.load(Ordering::Relaxed), "a process ran its body during teardown");
+    assert_eq!(Arc::strong_count(&ran), 1, "the late process's closure was leaked");
+}
+
+#[test]
+fn every_process_runs_on_the_run_thread() {
+    // Processes, a daemon and a process spawned by another all run on
+    // the OS thread that called `run()`.
+    let mut sim = Simulation::new();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let record = |seen: &Arc<Mutex<Vec<_>>>| {
+        let seen = Arc::clone(seen);
+        move |ctx: &dsim::SimCtx| {
+            seen.lock().push(std::thread::current().id());
+            ctx.sleep(SimDuration::from_micros(1));
+            seen.lock().push(std::thread::current().id());
+        }
+    };
+    for i in 0..3 {
+        sim.spawn(format!("p{i}"), record(&seen));
+    }
+    sim.spawn_daemon("d", record(&seen));
+    {
+        let child = record(&seen);
+        sim.spawn("parent", move |ctx| {
+            ctx.handle().spawn("child", child);
+            ctx.sleep(SimDuration::from_micros(2));
+        });
+    }
+    sim.run().unwrap();
+    let caller = std::thread::current().id();
+    let seen = seen.lock().clone();
+    assert_eq!(seen.len(), 10);
+    assert!(seen.iter().all(|id| *id == caller), "{seen:?} vs {caller:?}");
+}
+
+#[test]
+fn process_stack_holds_512_kib_after_a_sleep() {
+    // Recurse through 512 KiB of 4 KiB frames on a resumed process.
+    fn burn(depth: u32) -> u64 {
+        let frame = std::hint::black_box([depth as u8; 4096]);
+        if depth == 0 {
+            return u64::from(frame[0]);
+        }
+        burn(depth - 1) + u64::from(frame[4095])
+    }
+    let sum = Arc::new(Mutex::new(0));
+    let mut sim = Simulation::new();
+    {
+        let sum = Arc::clone(&sum);
+        sim.spawn("deep", move |ctx| {
+            ctx.sleep(SimDuration::from_micros(1));
+            *sum.lock() = burn(128);
+        });
+    }
+    sim.run().unwrap();
+    assert_eq!(*sum.lock(), (1..=128).sum::<u64>());
 }
