@@ -5,6 +5,10 @@
 //! * **`handoff_pingpong`, `sovia_stream_fig6b`** — two fixed workloads
 //!   timed as the fastest of [`REPS`] runs, with event throughput and the
 //!   dispatch breakdown ([`dsim::SchedStats`]): handoffs and self-wakes.
+//! * **`platform_setup`** — [`SETUP_REPS`] rounds of build, connect, one
+//!   round trip and drop of the two cLAN platforms (`clan_dual_stack`
+//!   with TCP over LANE, and `sovia_pair`): what a figure point pays
+//!   before and after its traffic.
 //! * **`fault_sweep`** — the goodput-vs-loss-rate sweep of
 //!   [`bench::fault_sweep`]: kernel TCP streaming over a lossy Fast
 //!   Ethernet link, with per-point goodput, recovery latency, and fault
@@ -42,6 +46,8 @@ const STREAM_MSG: usize = 32 * 1024;
 const STREAM_TOTAL: usize = 32 * 1024 * 1024;
 /// Timed repetitions per measurement (minimum taken).
 const REPS: usize = 3;
+/// Platform pairs built and dropped per `platform_setup` run.
+const SETUP_REPS: usize = 50;
 
 /// One timed workload: the fastest of [`REPS`] runs.
 #[derive(Clone, Copy)]
@@ -110,6 +116,29 @@ fn sovia_stream() -> (f64, SchedStats) {
         STREAM_TOTAL,
     ));
     (out.value, out.stats)
+}
+
+/// [`SETUP_REPS`] times: a TCP-over-LANE point on a fresh
+/// `clan_dual_stack` and a SOVIA point on a fresh `sovia_pair`, each one
+/// 4-byte round trip after the handshake, then dropped. Almost all host
+/// time is platform set-up (pre-posted rings, registered buffers, process
+/// stacks) and teardown. Returns (the SOVIA one-way µs, summed stats).
+fn platform_setup() -> (f64, SchedStats) {
+    let mut sum = SchedStats::default();
+    let mut one_way_us = 0.0;
+    for _ in 0..SETUP_REPS {
+        for variant in [Variant::TcpLane, Variant::Sovia(SoviaConfig::default())] {
+            let out = micro::run(&RunSpec::latency(variant, 4, 1));
+            let s = out.stats;
+            sum.events_processed += s.events_processed;
+            sum.direct_handoffs += s.direct_handoffs;
+            sum.self_wakes += s.self_wakes;
+            sum.coordinator_wakes += s.coordinator_wakes;
+            sum.wakeups += s.wakeups;
+            one_way_us = out.value;
+        }
+    }
+    (one_way_us, sum)
 }
 
 /// Render a timed scenario's JSON block: `gate_wall_ms` (the handle
@@ -283,6 +312,7 @@ fn main() {
     // contention, not the scheduler.
     let pp = measure(pingpong);
     let st = measure(sovia_stream);
+    let ps = measure(platform_setup);
     let handoffs = f64::from(PINGPONG_ROUNDS) * 2.0;
     let pp_json = render_scenario(
         "handoff_pingpong",
@@ -297,12 +327,21 @@ fn main() {
             ("sim_bytes_per_wall_sec", STREAM_TOTAL as f64 / (st.wall_ms / 1e3)),
         ],
     );
+    let ps_json = render_scenario(
+        "platform_setup",
+        &ps,
+        &[
+            ("platforms", (2 * SETUP_REPS) as f64),
+            ("ms_per_platform", ps.wall_ms / (2 * SETUP_REPS) as f64),
+            ("sim_sovia_one_way_us", ps.result),
+        ],
+    );
     let fault_json = render_fault_scenario(threads);
     let breakdown_json = render_breakdown_scenario(args.trace.as_deref());
 
     let json = format!(
         "{{\n  \"pingpong_rounds\": {PINGPONG_ROUNDS},\n  \"stream_msg_bytes\": {STREAM_MSG},\n  \
-         \"stream_total_bytes\": {STREAM_TOTAL},\n  \"reps\": {REPS},\n  \"scenarios\": [\n{pp_json},\n{st_json},\n{fault_json},\n{breakdown_json}\n  ]\n}}\n"
+         \"stream_total_bytes\": {STREAM_TOTAL},\n  \"reps\": {REPS},\n  \"scenarios\": [\n{pp_json},\n{st_json},\n{ps_json},\n{fault_json},\n{breakdown_json}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write report");
     println!("{json}");

@@ -6,12 +6,20 @@
 //! the current stack, store the stack pointer, load another, restore. No
 //! kernel entry, no futex, no OS scheduler.
 //!
-//! Each stack is a fresh `mmap` of [`STACK_BYTES`] (the size of std's
-//! default thread stack) reserved with `MAP_NORESERVE`, so pages are
-//! committed only when touched, with one `PROT_NONE` guard page below it.
-//! Running off the end hits the guard page and the process dies of a
-//! plain SIGSEGV: std's "has overflowed its stack" message only knows
-//! about the guard pages of real threads.
+//! Each stack is an `mmap` of [`STACK_BYTES`] (the size of std's default
+//! thread stack) reserved with `MAP_NORESERVE`, so pages are committed
+//! only when touched, with one `PROT_NONE` guard page below it. Running
+//! off the end hits the guard page and the process dies of a plain
+//! SIGSEGV: std's "has overflowed its stack" message only knows about the
+//! guard pages of real threads.
+//!
+//! Stacks are pooled: a dropped fiber's stack, guard page and committed
+//! pages included, goes into one process-wide pool, and the next
+//! [`Fiber::new`] on any thread takes it from there, so a spawn skips
+//! `mmap`, `mprotect`, first-touch page faults and `munmap`. The pool
+//! holds at most [`POOL_CAP`] stacks; that caps both the address space
+//! (2 MiB each) and the committed pages it keeps. A fiber dropped while
+//! the pool is full is unmapped.
 //!
 //! x86-64 Linux only (System V calling convention, Linux `mmap` flags).
 
@@ -22,9 +30,13 @@ use std::cell::UnsafeCell;
 use std::ffi::c_void;
 use std::ptr;
 
+use parking_lot::Mutex;
+
 /// Usable bytes of one fiber stack.
 const STACK_BYTES: usize = 2 << 20;
 const PAGE: usize = 4096;
+/// Most stacks [`POOL`] keeps mapped for reuse.
+const POOL_CAP: usize = 128;
 
 const PROT_NONE: i32 = 0;
 const PROT_READ: i32 = 1;
@@ -61,6 +73,45 @@ impl Context {
     }
 }
 
+/// Base of one stack mapping, guard page included.
+struct Stack(*mut u8);
+
+// SAFETY: a pooled stack is an unused private mapping; whoever pops it
+// owns it.
+unsafe impl Send for Stack {}
+
+/// Stacks of finished fibers, still mapped, guard page in place, for any
+/// thread's next [`Fiber::new`].
+static POOL: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
+
+/// A stack from the pool, or a fresh mapping with its guard page.
+fn take_stack() -> *mut u8 {
+    if let Some(Stack(map)) = POOL.lock().pop() {
+        return map;
+    }
+    let len = STACK_BYTES + PAGE;
+    // SAFETY: an anonymous private mapping at an address of the kernel's
+    // choosing aliases nothing; the result is checked below.
+    let map = unsafe {
+        mmap(
+            ptr::null_mut(),
+            len,
+            PROT_READ | PROT_WRITE,
+            MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+            -1,
+            0,
+        )
+    };
+    assert!(
+        map as isize != -1,
+        "mmap of a {len}-byte fiber stack failed"
+    );
+    // SAFETY: the first page lies inside the mapping just made.
+    let rc = unsafe { mprotect(map, PAGE, PROT_NONE) };
+    assert_eq!(rc, 0, "mprotect of a fiber guard page failed");
+    map.cast::<u8>()
+}
+
 /// A suspended coroutine: its stack and its saved context.
 pub(crate) struct Fiber {
     ctx: Context,
@@ -77,26 +128,7 @@ impl Fiber {
     /// own stack. `entry` must never return: it leaves by switching away.
     pub(crate) fn new(entry: extern "C" fn(usize, usize) -> !, a0: usize, a1: usize) -> Box<Fiber> {
         let len = STACK_BYTES + PAGE;
-        // SAFETY: an anonymous private mapping at an address of the
-        // kernel's choosing aliases nothing; the result is checked below.
-        let map = unsafe {
-            mmap(
-                ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
-                -1,
-                0,
-            )
-        };
-        assert!(
-            map as isize != -1,
-            "mmap of a {len}-byte fiber stack failed"
-        );
-        // SAFETY: the first page lies inside the mapping just made.
-        let rc = unsafe { mprotect(map, PAGE, PROT_NONE) };
-        assert_eq!(rc, 0, "mprotect of a fiber guard page failed");
-        let map = map.cast::<u8>();
+        let map = take_stack();
 
         // The first frame `switch` restores, from the saved stack pointer
         // up: MXCSR and x87 control word, r15, r14, r13, r12, rbx, rbp, the
@@ -135,9 +167,18 @@ impl Fiber {
 }
 
 impl Drop for Fiber {
+    /// Callers drop a fiber only once it can no longer be resumed, so
+    /// nothing lives on its stack: it goes back to the pool, or is
+    /// unmapped when the pool is full.
     fn drop(&mut self) {
-        // SAFETY: `map` is the mapping made in `new`. Callers drop a fiber
-        // only once it can no longer be resumed, so nothing lives on it.
+        let mut pool = POOL.lock();
+        if pool.len() < POOL_CAP {
+            pool.push(Stack(self.map));
+            return;
+        }
+        drop(pool);
+        // SAFETY: `map` is a mapping made by `take_stack`, and no longer
+        // in use (see above).
         unsafe { munmap(self.map.cast(), STACK_BYTES + PAGE) };
     }
 }

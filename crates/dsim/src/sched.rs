@@ -174,7 +174,7 @@ struct ProcSlot {
     state: ProcState,
     epoch: u64,
     wake_reason: Option<WakeReason>,
-    /// The process's coroutine; `None` once teardown has unmapped it.
+    /// The process's coroutine; `None` once teardown has released its stack.
     fiber: Option<Box<Fiber>>,
     /// What the fiber runs on its first resume (taken then).
     body: Option<Box<dyn FnOnce() + Send>>,
@@ -254,6 +254,8 @@ struct SchedState {
     max_events: u64,
     /// Execution counters (see [`SchedStats`]).
     stats: SchedStats,
+    /// Run, in registration order, when the [`Simulation`] is dropped.
+    drop_hooks: Vec<Box<dyn FnOnce() + Send>>,
 }
 
 pub(crate) struct SimCore {
@@ -536,6 +538,15 @@ impl SimHandle {
         pid
     }
 
+    /// Run `f` when the [`Simulation`] is dropped, after its queued events
+    /// and its processes' slots are gone. Objects that hold the handle
+    /// (directly or through what they own) register here what breaks
+    /// their reference cycles, so a dropped simulation frees everything
+    /// built on it. `f` should hold only `Weak` references.
+    pub fn on_drop(&self, f: impl FnOnce() + Send + 'static) {
+        self.core.state.lock().drop_hooks.push(Box::new(f));
+    }
+
     /// Record the modeled cost of a cross-thread signal: a Sched-layer
     /// `thread_wake` span covering `[now, now + delay]` on the *woken*
     /// process. Called by the sync primitives' delayed notifies.
@@ -761,6 +772,7 @@ impl SimCtx {
 }
 
 /// A whole simulation: owns the event queue, clock, and process fibers.
+/// Dropping it frees all three and runs the [`SimHandle::on_drop`] hooks.
 pub struct Simulation {
     handle: SimHandle,
     ran: bool,
@@ -799,6 +811,7 @@ impl Simulation {
                 events: 0,
                 max_events: u64::MAX,
                 stats: SchedStats::default(),
+                drop_hooks: Vec::new(),
             }),
             main: Context::empty(),
             trace: trace.map(|cfg| Arc::new(TraceShared::new(cfg))),
@@ -931,7 +944,7 @@ impl Simulation {
     }
 
     /// Resume every parked process with `Shutdown` (making it unwind, or
-    /// skip its body if it never started), then unmap the fibers' stacks.
+    /// skip its body if it never started), then release the fibers' stacks.
     fn teardown(&mut self) {
         let core = &self.handle.core;
         loop {
@@ -955,6 +968,29 @@ impl Simulation {
         // Every process is Done: no stack is in use any more.
         for slot in core.state.lock().procs.values_mut() {
             slot.fiber = None;
+        }
+    }
+}
+
+impl Drop for Simulation {
+    /// Free the simulation's world: queued events (callbacks still pending
+    /// after `EventLimit` or a panic), the process slots (the body of a
+    /// process that never ran holds a `SimCtx`, and so this core), then
+    /// run the [`SimHandle::on_drop`] hooks. Everything is taken out under
+    /// the lock and dropped outside it: destructors may lock it again.
+    fn drop(&mut self) {
+        let (heap, procs, hooks) = {
+            let mut st = self.handle.core.state.lock();
+            (
+                std::mem::take(&mut st.heap),
+                std::mem::take(&mut st.procs),
+                std::mem::take(&mut st.drop_hooks),
+            )
+        };
+        drop(heap);
+        drop(procs);
+        for hook in hooks {
+            hook();
         }
     }
 }

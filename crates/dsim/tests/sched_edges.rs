@@ -294,3 +294,42 @@ fn process_stack_holds_512_kib_after_a_sleep() {
     sim.run().unwrap();
     assert_eq!(*sum.lock(), (1..=128).sum::<u64>());
 }
+
+#[test]
+fn dropping_a_simulation_frees_what_never_ran() {
+    // A process body and a timer callback each hold `held` and a handle
+    // onto their own simulation, as protocol code does. Neither runs: in
+    // the first simulation nothing runs at all, in the second the event
+    // budget stops the run with the callback still queued. Dropping the
+    // simulation must drop both closures.
+    let held = Arc::new(());
+    let capture = |sim: &Simulation| {
+        let (h, held) = (sim.handle(), Arc::clone(&held));
+        move || {
+            let _ = (&h, &held);
+        }
+    };
+    {
+        let sim = Simulation::new();
+        let body = capture(&sim);
+        sim.spawn("never-run", move |_| body());
+        let call = capture(&sim);
+        let _ = sim.handle().schedule_in(SimDuration::from_micros(1), move |_| call());
+        assert_eq!(Arc::strong_count(&held), 3);
+    }
+    assert_eq!(Arc::strong_count(&held), 1, "an unrun simulation leaked its closures");
+
+    run_pinned(11, |sim| {
+        sim.spawn("spin", |ctx| loop {
+            ctx.sleep(SimDuration::from_nanos(1));
+        });
+        let call = capture(sim);
+        let _ = sim.handle().schedule_in(SimDuration::from_micros(1), move |_| call());
+        match sim.run_with_limit(10) {
+            Err(SimError::EventLimit { processed: 10, .. }) => {}
+            other => panic!("expected EventLimit after 10 events, got {other:?}"),
+        }
+        assert_eq!(Arc::strong_count(&held), 2, "the queued callback still holds it");
+    });
+    assert_eq!(Arc::strong_count(&held), 1, "a queued callback outlived its simulation");
+}

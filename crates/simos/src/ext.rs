@@ -47,6 +47,13 @@ impl Extensions {
             .expect("extension type mismatch")
     }
 
+    /// Remove every singleton. They are dropped after the map's lock is
+    /// released, so their destructors may use the map.
+    pub fn clear(&self) {
+        let map = std::mem::take(&mut *self.map.lock());
+        drop(map);
+    }
+
     /// Shallow-clone the map (all singletons shared). Used by `fork`, which
     /// models the library state a child keeps sharing with its parent
     /// through shared memory.

@@ -42,20 +42,27 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Create a machine.
+    /// Create a machine. Dropping the simulation empties its extension
+    /// map: the NICs and stacks registered there hold the machine, and
+    /// that cycle would otherwise keep the whole platform alive.
     pub fn new(sim: &SimHandle, id: HostId, name: impl Into<String>, costs: HostCosts) -> Machine {
-        Machine {
-            inner: Arc::new(MachineInner {
-                id,
-                name: name.into(),
-                sim: sim.clone(),
-                costs,
-                phys: Mutex::new(PhysMem::new()),
-                fs: Ramdisk::new(),
-                ext: Extensions::new(),
-                next_pid: AtomicU32::new(1),
-            }),
-        }
+        let inner = Arc::new(MachineInner {
+            id,
+            name: name.into(),
+            sim: sim.clone(),
+            costs,
+            phys: Mutex::new(PhysMem::new()),
+            fs: Ramdisk::new(),
+            ext: Extensions::new(),
+            next_pid: AtomicU32::new(1),
+        });
+        let weak = Arc::downgrade(&inner);
+        sim.on_drop(move || {
+            if let Some(m) = weak.upgrade() {
+                m.ext.clear();
+            }
+        });
+        Machine { inner }
     }
 
     /// Host id.
@@ -97,9 +104,7 @@ impl Machine {
     /// [`Process::fork`] to model fork semantics).
     pub fn spawn_process(&self, name: impl Into<String>) -> Process {
         let pid = self.inner.next_pid.fetch_add(1, Ordering::Relaxed);
-        Process {
-            inner: Arc::new(ProcessInner::new(self.clone(), pid, name.into())),
-        }
+        Process::from_inner(ProcessInner::new(self.clone(), pid, name.into()))
     }
 
     pub(crate) fn alloc_pid(&self) -> u32 {

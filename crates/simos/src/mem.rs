@@ -6,6 +6,13 @@
 //! paper's Figure 5 bug — after a fork, a parent write moves the parent's
 //! virtual pages onto fresh frames while a registered (pinned) region keeps
 //! DMA-ing into the stale frames, corrupting received data.
+//!
+//! Frames are demand-zero, Linux's zero-page rule: a frame holds no host
+//! memory until its first write (by a process or by DMA), and reads as
+//! zeros until then; a COW break of an unwritten frame copies nothing.
+//! Refcounts, pins and COW treat a frame the same either way, so host
+//! memory follows what a run writes, not the buffers it registers up
+//! front. None of this is visible in virtual time.
 
 use std::collections::BTreeMap;
 
@@ -52,7 +59,8 @@ impl std::ops::Add<u64> for VAddr {
 pub struct FrameId(pub u32);
 
 struct Frame {
-    data: Box<[u8]>,
+    /// The page's bytes; `None` until the first write (reads see zeros).
+    data: Option<Box<[u8]>>,
     /// Number of address-space mappings plus pins referencing this frame.
     refs: u32,
 }
@@ -80,13 +88,11 @@ impl PhysMem {
         }
     }
 
-    /// Allocate a zeroed frame with refcount 1.
+    /// Allocate a frame with refcount 1. It reads as zeros and holds no
+    /// host memory until its first write.
     pub fn alloc_frame(&mut self) -> FrameId {
         self.allocated += 1;
-        let frame = Frame {
-            data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-            refs: 1,
-        };
+        let frame = Frame { data: None, refs: 1 };
         match self.free.pop() {
             Some(idx) => {
                 debug_assert!(self.frames[idx as usize].is_none());
@@ -141,16 +147,24 @@ impl PhysMem {
 
     /// Copy bytes out of a frame.
     pub fn read_frame(&self, id: FrameId, offset: usize, out: &mut [u8]) {
-        out.copy_from_slice(&self.frame(id).data[offset..offset + out.len()]);
+        match &self.frame(id).data {
+            Some(data) => out.copy_from_slice(&data[offset..offset + out.len()]),
+            None => out.fill(0),
+        }
     }
 
     /// Copy bytes into a frame (this is what DMA does — no address-space
-    /// checks, by design).
+    /// checks, by design). The first write materializes the page.
     pub fn write_frame(&mut self, id: FrameId, offset: usize, data: &[u8]) {
-        self.frame_mut(id).data[offset..offset + data.len()].copy_from_slice(data);
+        let page = self
+            .frame_mut(id)
+            .data
+            .get_or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice());
+        page[offset..offset + data.len()].copy_from_slice(data);
     }
 
-    /// Duplicate `src` into a fresh frame (COW break), refcount 1.
+    /// Duplicate `src` into a fresh frame (COW break), refcount 1. An
+    /// unwritten `src` yields an unwritten copy.
     pub fn clone_frame(&mut self, src: FrameId) -> FrameId {
         let data = self.frame(src).data.clone();
         let new = self.alloc_frame();
@@ -223,7 +237,8 @@ impl AddressSpace {
         }
     }
 
-    /// Map `len` bytes of fresh zeroed memory; returns the base address.
+    /// Map `len` bytes of fresh memory, reading as zeros (its frames
+    /// are demand-zero); returns the base address.
     pub fn map_fresh(&mut self, phys: &mut PhysMem, len: usize, shared: bool) -> VAddr {
         assert!(len > 0, "zero-length mapping");
         let pages = len.div_ceil(PAGE_SIZE) as u64;
@@ -540,6 +555,61 @@ mod tests {
         let mut got = vec![0u8; 13];
         asp.read(&phys, va, &mut got);
         assert_eq!(&got, b"INCOMING DATA");
+    }
+
+    /// Frames holding host memory (written at least once).
+    fn materialized(phys: &PhysMem) -> usize {
+        phys.frames.iter().flatten().filter(|f| f.data.is_some()).count()
+    }
+
+    #[test]
+    fn mapping_and_pinning_materialize_nothing() {
+        let (mut phys, mut asp) = setup();
+        let va = asp.map_fresh(&mut phys, 1 << 20, false);
+        let pin = asp.pin(&mut phys, va, 1 << 20);
+        assert_eq!(phys.frames_in_use(), 256);
+        assert_eq!(materialized(&phys), 0);
+        assert_eq!(dma_read(&phys, &pin, 4000, 200), vec![0u8; 200]);
+        assert_eq!(materialized(&phys), 0, "reads materialize nothing");
+    }
+
+    #[test]
+    fn first_write_materializes_the_pages_it_spans() {
+        let (mut phys, mut asp) = setup();
+        let va = asp.map_fresh(&mut phys, 8 * PAGE_SIZE, false);
+        // Three bytes before a page boundary through three bytes after the
+        // next one: three pages.
+        let start = va.add(2 * PAGE_SIZE as u64 - 3);
+        asp.write(&mut phys, start, &[9u8; PAGE_SIZE + 6]);
+        assert_eq!(materialized(&phys), 3);
+        let mut out = vec![1u8; 8 * PAGE_SIZE];
+        asp.read(&phys, va, &mut out);
+        let written = 2 * PAGE_SIZE - 3..3 * PAGE_SIZE + 3;
+        for (i, b) in out.iter().enumerate() {
+            assert_eq!(*b, if written.contains(&i) { 9 } else { 0 }, "byte {i}");
+        }
+        assert_eq!(materialized(&phys), 3);
+    }
+
+    #[test]
+    fn figure5_cow_bug_with_a_never_written_pinned_frame() {
+        // Register -> fork -> parent write -> DMA, where nothing wrote the
+        // registered page before the fork: the COW break copies an
+        // unwritten frame, and the DMA still lands in the stale one.
+        let (mut phys, mut asp) = setup();
+        let va = asp.map_fresh(&mut phys, PAGE_SIZE, false);
+        let pin = asp.pin(&mut phys, va, 64);
+        let child = asp.fork(&mut phys);
+        assert_eq!(asp.write(&mut phys, va, b"touch"), 1);
+        assert_eq!(phys.frames_in_use(), 2);
+        assert_eq!(materialized(&phys), 1, "only the parent's copy was written");
+
+        dma_write(&mut phys, &pin, 0, b"INCOMING DATA");
+        let mut got = vec![0u8; 13];
+        asp.read(&phys, va, &mut got);
+        assert_eq!(&got, b"touch\0\0\0\0\0\0\0\0", "corruption must be observable");
+        child.read(&phys, va, &mut got);
+        assert_eq!(&got, b"INCOMING DATA", "the DMA went to the pre-fork frame");
     }
 
     #[test]

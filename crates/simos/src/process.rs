@@ -120,6 +120,19 @@ pub struct Process {
 }
 
 impl Process {
+    /// Wrap a new process. Dropping the simulation empties its extension
+    /// map, which holds the library instances that hold the process.
+    pub(crate) fn from_inner(inner: ProcessInner) -> Process {
+        let inner = Arc::new(inner);
+        let weak = Arc::downgrade(&inner);
+        inner.machine.sim().on_drop(move || {
+            if let Some(p) = weak.upgrade() {
+                p.ext.clear();
+            }
+        });
+        Process { inner }
+    }
+
     /// The machine this process runs on.
     pub fn machine(&self) -> &Machine {
         &self.inner.machine
@@ -246,16 +259,14 @@ impl Process {
             let mut phys = self.inner.machine.phys();
             self.inner.aspace.lock().fork(&mut phys)
         };
-        let child = Process {
-            inner: Arc::new(ProcessInner {
-                machine: self.inner.machine.clone(),
-                pid: self.inner.machine.alloc_pid(),
-                name: child_name.into(),
-                aspace: Mutex::new(child_aspace),
-                fds: Mutex::new(self.inner.fds.lock().fork_clone()),
-                ext: self.inner.ext.clone_shared(),
-            }),
-        };
+        let child = Process::from_inner(ProcessInner {
+            machine: self.inner.machine.clone(),
+            pid: self.inner.machine.alloc_pid(),
+            name: child_name.into(),
+            aspace: Mutex::new(child_aspace),
+            fds: Mutex::new(self.inner.fds.lock().fork_clone()),
+            ext: self.inner.ext.clone_shared(),
+        });
         let child_handle = child.clone();
         let label = format!("{}#{}", child.inner.name, child.inner.pid);
         ctx.handle().spawn(label, move |cctx| {

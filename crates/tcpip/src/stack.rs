@@ -47,11 +47,14 @@ impl TcpStack {
             next_port: Mutex::new(32_768),
         });
         machine.ext().insert::<TcpStack>(Arc::clone(&stack));
-        // Wire the receive path.
+        // Wire the receive path. The device holds the handler, so it
+        // holds the stack weakly: the extension map owns the stack.
         {
-            let rx_stack = Arc::clone(&stack);
+            let rx_stack = Arc::downgrade(&stack);
             let handler: IpRxHandler = Arc::new(move |ctx, bytes| {
-                rx_stack.on_packet(ctx, bytes);
+                if let Some(stack) = rx_stack.upgrade() {
+                    stack.on_packet(ctx, bytes);
+                }
             });
             device.set_rx(handler);
         }
@@ -96,20 +99,25 @@ impl TcpStack {
             self.costs.clone(),
             self.machine.costs().clone(),
             KernelCpu::of(&self.machine),
-            Arc::clone(&self.timer_q),
+            Arc::downgrade(&self.timer_q),
             state,
         );
         let key = (local.port, remote.host, remote.port);
         self.conns.lock().insert(key, Arc::clone(&tcb));
-        // Drop the table entry once the connection fully closes.
+        // Drop the table entry once the connection fully closes. The
+        // table holds the TCB, so the TCB holds the stack weakly.
         {
-            let stack = self
-                .machine
-                .ext()
-                .get::<TcpStack>()
-                .expect("stack registered");
+            let stack = Arc::downgrade(
+                &self
+                    .machine
+                    .ext()
+                    .get::<TcpStack>()
+                    .expect("stack registered"),
+            );
             tcb.set_on_closed(move || {
-                stack.conns.lock().remove(&key);
+                if let Some(stack) = stack.upgrade() {
+                    stack.conns.lock().remove(&key);
+                }
             });
         }
         tcb

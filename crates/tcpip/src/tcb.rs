@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use dsim::sync::{SimCondvar, SimQueue};
 use dsim::{Payload, SimCtx, SimHandle};
@@ -156,7 +156,9 @@ pub struct Tcb {
     /// The machine's kernel CPU: all protocol processing serializes here.
     kcpu: Arc<KernelCpu>,
     sim: SimHandle,
-    timer_q: Arc<SimQueue<TimerEvent>>,
+    /// The stack's timer queue. Queued events hold their TCB, so the TCB
+    /// holds the queue weakly; the stack owns it.
+    timer_q: Weak<SimQueue<TimerEvent>>,
     mss: usize,
 
     state: Mutex<TcpState>,
@@ -179,7 +181,7 @@ pub struct Tcb {
     /// Called once on full close so the stack can drop its table entry.
     on_closed: Mutex<Option<Box<dyn FnOnce() + Send>>>,
     /// Weak self-reference so timer closures can recover an `Arc`.
-    self_ref: Mutex<Option<std::sync::Weak<Tcb>>>,
+    self_ref: Mutex<Option<Weak<Tcb>>>,
 }
 
 fn seq_diff(a: u32, b: u32) -> u32 {
@@ -196,7 +198,7 @@ impl Tcb {
         costs: TcpCosts,
         host_costs: HostCosts,
         kcpu: Arc<KernelCpu>,
-        timer_q: Arc<SimQueue<TimerEvent>>,
+        timer_q: Weak<SimQueue<TimerEvent>>,
         initial_state: TcpState,
     ) -> Arc<Tcb> {
         let mss = mss_for(device.mtu());
@@ -473,10 +475,12 @@ impl Tcb {
             snd.rto_armed = true;
             snd.rto_gen
         };
-        let q = Arc::clone(&self.timer_q);
+        let q = Weak::clone(&self.timer_q);
         let me = self.self_arc();
         self.sim.schedule_in(self.costs.rto, move |_| {
-            q.push(TimerEvent::Rto(me, gen));
+            if let Some(q) = q.upgrade() {
+                q.push(TimerEvent::Rto(me, gen));
+            }
         });
     }
 
@@ -582,10 +586,12 @@ impl Tcb {
             rcv.dack_gen += 1;
             rcv.dack_gen
         };
-        let q = Arc::clone(&self.timer_q);
+        let q = Weak::clone(&self.timer_q);
         let me = self.self_arc();
         self.sim.schedule_in(self.costs.delayed_ack, move |_| {
-            q.push(TimerEvent::DelayedAck(me, gen));
+            if let Some(q) = q.upgrade() {
+                q.push(TimerEvent::DelayedAck(me, gen));
+            }
         });
     }
 
